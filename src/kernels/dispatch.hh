@@ -97,18 +97,10 @@ class SpmvResident
     SpmvResident(Machine &m, const Csr &a, const std::string &fmt,
                  BackendKind kind);
 
-    /** Back-compat: via selects BackendKind::Via, else Base. */
-    SpmvResident(Machine &m, const Csr &a, const std::string &fmt,
-                 bool via)
-        : SpmvResident(m, a, fmt,
-                       via ? BackendKind::Via : BackendKind::Base)
-    {}
-
     /** Emit y = A x against the resident matrix. */
     SpmvResult run(Machine &m, const DenseVector &x) const;
 
     const std::string &format() const { return _fmt; }
-    bool via() const { return _kind == BackendKind::Via; }
     BackendKind kind() const { return _kind; }
     /** Rows of the resident matrix (the result vector's length). */
     Index rows() const { return _csr.rows(); }

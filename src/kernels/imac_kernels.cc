@@ -15,40 +15,6 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** Shared upload of the dense operand and output buffer. */
-struct XY
-{
-    Addr x = 0;
-    Addr y = 0;
-};
-
-XY
-uploadXY(Machine &m, const DenseVector &x, Index rows)
-{
-    XY a;
-    a.x = upload(m, x);
-    a.y = allocValues(m, std::size_t(rows));
-    return a;
-}
-
-/** Canonicalize the merge output (mirrors spma.cc). */
-Csr
-assembleResult(const Machine &m, Addr c_col, Addr c_val,
-               const std::vector<Index> &c_row_ptr, Index rows,
-               Index cols)
-{
-    auto nnz = std::size_t(c_row_ptr.back());
-    std::vector<Index> cols_out = downloadIndices(m, c_col, nnz);
-    DenseVector vals_out = downloadValues(m, c_val, nnz);
-    Coo coo(rows, cols);
-    for (Index r = 0; r < rows; ++r)
-        for (Index k = c_row_ptr[std::size_t(r)];
-             k < c_row_ptr[std::size_t(r) + 1]; ++k)
-            coo.add(r, cols_out[std::size_t(k)],
-                    vals_out[std::size_t(k)]);
-    return Csr::fromCoo(std::move(coo));
-}
-
 } // namespace
 
 SpmvResult
@@ -479,9 +445,7 @@ spmmImacGustavson(Machine &m, const Csr &a, const Csc &b)
 HistResult
 histImac(Machine &m, const std::vector<Index> &keys, Index buckets)
 {
-    for (Index k : keys)
-        via_assert(k >= 0 && k < buckets, "key ", k,
-                   " outside [0, ", buckets, ")");
+    checkKeys(keys, buckets);
     Addr key_arr = upload(m, keys);
     Addr hist = allocValues(m, std::size_t(buckets));
 

@@ -1,9 +1,9 @@
 #include "kernels/spmm.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "kernels/kernel_utils.hh"
+#include "kernels/parallel.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -15,76 +15,67 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** Output arrays sized for the worst realistic case. */
-struct COut
+/** Both kernels keep the running output count in this register. */
+constexpr SReg s_out{7};
+
+/** A (CSR) and B (CSC) on the host and in simulated memory. */
+struct Operands
 {
-    Addr col = 0;
-    Addr val = 0;
-    Addr ptr = 0;
-    std::vector<Index> rowPtr;
-    Index out = 0;
+    const Csr &a;
+    const Csc &b;
+    Addr aPtr = 0, aCol = 0, aVal = 0;
+    Addr bPtr = 0, bRow = 0, bVal = 0;
 };
 
-COut
-allocOut(Machine &m, const Csr &a, const Csc &b)
+Operands
+uploadOperands(Machine &m, const Csr &a, const Csc &b)
 {
-    // The inner-product result has at most rows*cols entries, but
-    // allocating that is wasteful; a safe, tight-enough bound is
-    // min(rows*cols, nnzA * max col nnz).
+    via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
+    Operands op{a, b};
+    op.aPtr = upload(m, a.rowPtr());
+    op.aCol = upload(m, a.colIdx());
+    op.aVal = upload(m, a.values());
+    op.bPtr = upload(m, b.colPtr());
+    op.bRow = upload(m, b.rowIdx());
+    op.bVal = upload(m, b.values());
+    return op;
+}
+
+/** Output capacity: the inner-product result has at most rows*cols
+ *  entries, but allocating that is wasteful; a safe, tight-enough
+ *  bound is min(rows*cols, nnzA * max col nnz). */
+std::size_t
+outputBound(const Csr &a, const Csc &b)
+{
     std::size_t bound = std::size_t(a.rows()) * std::size_t(b.cols());
     std::size_t alt = a.nnz() * std::size_t(std::max<Index>(
                                     b.maxColNnz(), 1));
-    bound = std::min(bound, alt + 1);
-    COut c;
-    c.col = m.mem().alloc(bound * sizeof(Index));
-    c.val = m.mem().alloc(bound * sizeof(Value));
-    c.ptr = m.mem().alloc((std::size_t(a.rows()) + 1) *
-                          sizeof(Index));
-    c.rowPtr.assign(std::size_t(a.rows()) + 1, 0);
-    return c;
+    return std::min(bound, alt + 1);
 }
 
-Csr
-assemble(const Machine &m, const COut &c, Index rows, Index cols)
+/** Scalar two-pointer intersection of rows [lo, hi) into @p c;
+ *  records row_ptr[r + 1] = c.out after each row. */
+void
+scalarRows(Machine &m, const Operands &op, CsrOut &c,
+           std::vector<Index> &row_ptr, Index lo, Index hi)
 {
-    auto nnz = std::size_t(c.rowPtr.back());
-    std::vector<Index> cols_out = downloadIndices(m, c.col, nnz);
-    DenseVector vals_out = downloadValues(m, c.val, nnz);
-    std::vector<Index> ptr = c.rowPtr;
-    return Csr::fromParts(rows, cols, std::move(ptr),
-                          std::move(cols_out), std::move(vals_out));
-}
-
-} // namespace
-
-SpmmResult
-spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
-{
-    via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
-    Addr a_ptr = upload(m, a.rowPtr());
-    Addr a_col = upload(m, a.colIdx());
-    Addr a_val = upload(m, a.values());
-    Addr b_ptr = upload(m, b.colPtr());
-    Addr b_row = upload(m, b.rowIdx());
-    Addr b_val = upload(m, b.values());
-    COut c = allocOut(m, a, b);
-
+    const Csr &a = op.a;
+    const Csc &b = op.b;
     SReg s_ka{0}, s_kb{1}, s_ai{2}, s_bi{3}, s_v{4}, s_v2{5},
-        s_acc{6}, s_out{7}, s_j{8}, s_r{9};
+        s_acc{6}, s_j{8}, s_r{9};
 
-    m.sstore(c.ptr, s_out, 4);
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_ka, a_ptr + 4 * (Addr(r) + 1), 4);
+    for (Index r = lo; r < hi; ++r) {
+        m.sload(s_ka, op.aPtr + 4 * (Addr(r) + 1), 4);
         Index a_lo = a.rowPtr()[std::size_t(r)];
         Index a_hi = a.rowPtr()[std::size_t(r) + 1];
         if (a_lo == a_hi) {
             m.sbranch(s_ka); // empty row: skip all columns
             m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
-            c.rowPtr[std::size_t(r) + 1] = c.out;
+            row_ptr[std::size_t(r) + 1] = c.out;
             continue;
         }
         for (Index j = 0; j < b.cols(); ++j) {
-            m.sload(s_kb, b_ptr + 4 * (Addr(j) + 1), 4);
+            m.sload(s_kb, op.bPtr + 4 * (Addr(j) + 1), 4);
             m.sbranch(s_kb);
             Index b_lo = b.colPtr()[std::size_t(j)];
             Index b_hi = b.colPtr()[std::size_t(j) + 1];
@@ -96,8 +87,8 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
             Index ka = a_lo, kb = b_lo;
             bool any = false;
             while (ka < a_hi && kb < b_hi) {
-                m.sload(s_ai, a_col + 4 * Addr(ka), 4);
-                m.sload(s_bi, b_row + 4 * Addr(kb), 4);
+                m.sload(s_ai, op.aCol + 4 * Addr(ka), 4);
+                m.sload(s_bi, op.bRow + 4 * Addr(kb), 4);
                 m.salu(s_v, 0, s_ai, s_bi); // compare
                 Index ca = a.colIdx()[std::size_t(ka)];
                 Index cb = b.rowIdx()[std::size_t(kb)];
@@ -106,8 +97,8 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
                 if (ca != cb)
                     m.sbranchData(s_v, 12, ca < cb);
                 if (ca == cb) {
-                    m.sloadF(s_v, a_val + 4 * Addr(ka), VT);
-                    m.sloadF(s_v2, b_val + 4 * Addr(kb), VT);
+                    m.sloadF(s_v, op.aVal + 4 * Addr(ka), VT);
+                    m.sloadF(s_v2, op.bVal + 4 * Addr(kb), VT);
                     m.sfmul(s_v, s_v, s_v2);
                     m.sfadd(s_acc, s_acc, s_v);
                     m.salu(s_ka, ka + 1, s_ka);
@@ -136,44 +127,41 @@ spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
         m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
-        c.rowPtr[std::size_t(r) + 1] = c.out;
+        row_ptr[std::size_t(r) + 1] = c.out;
     }
-    return SpmmResult{assemble(m, c, a.rows(), b.cols()),
-                      m.cycles()};
 }
 
-SpmmResult
-spmmViaInner(Machine &m, const Csr &a, const Csc &b)
+/** Every A row must fit the CAM (the VIA kernel loads it whole). */
+void
+checkRowsFitCam(const Machine &m, const Csr &a)
 {
-    via_assert(a.cols() == b.rows(), "SpMM shape mismatch");
-    Addr a_ptr = upload(m, a.rowPtr());
-    Addr a_col = upload(m, a.colIdx());
-    Addr a_val = upload(m, a.values());
-    Addr b_ptr = upload(m, b.colPtr());
-    Addr b_row = upload(m, b.rowIdx());
-    Addr b_val = upload(m, b.values());
-    COut c = allocOut(m, a, b);
-
-    const int vl = int(m.vl());
     const auto cam_cap = Index(m.sspm().config().camEntries());
     via_assert(a.maxRowNnz() <= cam_cap,
                "A row exceeds the CAM (", cam_cap, " entries): the "
                "VIA SpMM kernel requires rows to fit (paper "
                "Section IV: highly sparse inputs)");
+}
 
+/** VIA CAM index matching (Figure 4) of rows [lo, hi) into @p c;
+ *  records row_ptr[r + 1] = c.out after each row. */
+void
+viaRows(Machine &m, const Operands &op, CsrOut &c,
+        std::vector<Index> &row_ptr, Index lo, Index hi)
+{
+    const Csr &a = op.a;
+    const Csc &b = op.b;
+    const int vl = int(m.vl());
     VReg v_col{0}, v_val{1}, v_prod{2}, v_acc{3};
-    SReg s_ka{0}, s_kb{1}, s_acc{2}, s_out{7}, s_j{8}, s_r{9},
-        s_k{10};
+    SReg s_ka{0}, s_kb{1}, s_acc{2}, s_j{8}, s_r{9}, s_k{10};
 
-    m.sstore(c.ptr, s_out, 4);
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_ka, a_ptr + 4 * (Addr(r) + 1), 4);
+    for (Index r = lo; r < hi; ++r) {
+        m.sload(s_ka, op.aPtr + 4 * (Addr(r) + 1), 4);
         Index a_lo = a.rowPtr()[std::size_t(r)];
         Index a_hi = a.rowPtr()[std::size_t(r) + 1];
         if (a_lo == a_hi) {
             m.sbranch(s_ka);
             m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
-            c.rowPtr[std::size_t(r) + 1] = c.out;
+            row_ptr[std::size_t(r) + 1] = c.out;
             continue;
         }
 
@@ -182,15 +170,15 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
         m.vidxClear();
         for (Index k = a_lo; k < a_hi; k += vl) {
             int n = std::min<Index>(vl, a_hi - k);
-            m.vload(v_col, a_col + 4 * Addr(k), IT, n);
-            m.vload(v_val, a_val + 4 * Addr(k), VT, n);
+            m.vload(v_col, op.aCol + 4 * Addr(k), IT, n);
+            m.vload(v_val, op.aVal + 4 * Addr(k), VT, n);
             m.vidxLoadC(v_val, v_col, n);
             m.salu(s_k, k + vl, s_k);
             m.sbranch(s_k);
         }
 
         for (Index j = 0; j < b.cols(); ++j) {
-            m.sload(s_kb, b_ptr + 4 * (Addr(j) + 1), 4);
+            m.sload(s_kb, op.bPtr + 4 * (Addr(j) + 1), 4);
             m.sbranch(s_kb);
             Index b_lo = b.colPtr()[std::size_t(j)];
             Index b_hi = b.colPtr()[std::size_t(j) + 1];
@@ -203,8 +191,8 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
             bool any = false;
             for (Index k = b_lo; k < b_hi; k += vl) {
                 int n = std::min<Index>(vl, b_hi - k);
-                m.vload(v_col, b_row + 4 * Addr(k), IT, n);
-                m.vload(v_val, b_val + 4 * Addr(k), VT, n);
+                m.vload(v_col, op.bRow + 4 * Addr(k), IT, n);
+                m.vload(v_val, op.bVal + 4 * Addr(k), VT, n);
                 m.vidxMulC(v_val, v_col, ViaOut::Vrf, v_prod, n);
                 m.vaddF(v_acc, v_acc, v_prod, n);
                 m.salu(s_k, k + vl, s_k);
@@ -231,10 +219,62 @@ spmmViaInner(Machine &m, const Csr &a, const Csc &b)
         m.sstore(c.ptr + 4 * (Addr(r) + 1), s_out, 4);
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
-        c.rowPtr[std::size_t(r) + 1] = c.out;
+        row_ptr[std::size_t(r) + 1] = c.out;
     }
-    return SpmmResult{assemble(m, c, a.rows(), b.cols()),
+}
+
+using RowsFn = void (*)(Machine &, const Operands &, CsrOut &,
+                        std::vector<Index> &, Index, Index);
+
+/** One-core run: upload, one output region, all rows. */
+SpmmResult
+runSerial(Machine &m, const Csr &a, const Csc &b, RowsFn rows)
+{
+    Operands op = uploadOperands(m, a, b);
+    CsrOut c = allocCsrOut(m, outputBound(a, b), a.rows());
+    std::vector<Index> row_ptr(std::size_t(a.rows()) + 1, 0);
+    m.sstore(c.ptr, s_out, 4);
+    rows(m, op, c, row_ptr, 0, a.rows());
+    auto nnz = std::size_t(row_ptr.back());
+    return SpmmResult{Csr::fromParts(a.rows(), b.cols(),
+                                     std::move(row_ptr),
+                                     downloadIndices(m, c.col, nnz),
+                                     downloadValues(m, c.val, nnz)),
                       m.cycles()};
+}
+
+} // namespace
+
+SpmmResult
+spmmScalarInner(Machine &m, const Csr &a, const Csc &b)
+{
+    return runSerial(m, a, b, scalarRows);
+}
+
+SpmmResult
+spmmViaInner(Machine &m, const Csr &a, const Csc &b)
+{
+    checkRowsFitCam(m, a);
+    return runSerial(m, a, b, viaRows);
+}
+
+SpmmResult
+spmmParallel(MultiMachine &mm, const Csr &a, const Csc &b,
+             Partition part, bool via)
+{
+    Operands op = uploadOperands(mm.core(0), a, b);
+    if (via)
+        checkRowsFitCam(mm.core(0), a);
+    RowsFn rows = via ? viaRows : scalarRows;
+    CsrParts p = rowsParallel(
+        mm, a.rows(), outputBound(a, b), part,
+        [&](Machine &m, CsrOut &c, std::vector<Index> &row_ptr,
+            Index lo, Index hi) { rows(m, op, c, row_ptr, lo, hi); });
+    return SpmmResult{Csr::fromParts(a.rows(), b.cols(),
+                                     std::move(p.ptr),
+                                     std::move(p.col),
+                                     std::move(p.val)),
+                      mm.cycles()};
 }
 
 } // namespace via::kernels

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "kernels/kernel_utils.hh"
+#include "kernels/parallel.hh"
 #include "simcore/log.hh"
 
 namespace via::kernels
@@ -15,20 +16,230 @@ namespace
 constexpr ElemType VT = ElemType::F32;
 constexpr ElemType IT = ElemType::I32;
 
-/** Shared upload of the dense operand and output buffer. */
-struct XY
+/** The result vector and the makespan so far. */
+SpmvResult
+readY(const Machine &m, const XY &xy, Index rows)
 {
-    Addr x = 0;
-    Addr y = 0;
-};
+    return SpmvResult{downloadValues(m, xy.y, std::size_t(rows)),
+                      m.cycles()};
+}
 
-XY
-uploadXY(Machine &m, const DenseVector &x, Index rows)
+/** True if the whole dense x fits the scratchpad. */
+bool
+xFitsSspm(const Machine &m, Index cols)
 {
-    XY a;
-    a.x = upload(m, x);
-    a.y = allocValues(m, std::size_t(rows));
-    return a;
+    return std::uint64_t(cols) <= m.sspm().config().sramEntries();
+}
+
+/** Vector CSR over rows [lo, hi): gather x, FMA, per-row reduce. */
+void
+vectorCsrRows(Machine &m, const Csr &a, const CsrImage &img,
+              const XY &xy, Index lo, Index hi)
+{
+    const int vl = int(m.vl());
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
+    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
+
+    for (Index r = lo; r < hi; ++r) {
+        m.sload(s_end, img.rowPtr + 4 * (Addr(r) + 1), 4);
+        m.vbroadcastF(v_acc, 0.0);
+        Index k_lo = a.rowPtr()[std::size_t(r)];
+        Index end = a.rowPtr()[std::size_t(r) + 1];
+        for (Index k = k_lo; k < end; k += vl) {
+            int n = std::min<Index>(vl, end - k);
+            m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+            m.vload(v_col, img.colIdx + 4 * Addr(k), IT, n);
+            m.vgather(v_x, xy.x, v_col, VT, n);
+            m.vfmaF(v_acc, v_val, v_x, v_acc, n);
+            m.salu(s_k, k + vl, s_k);
+            m.sbranch(s_k);
+        }
+        m.vredsumF(s_acc, v_acc);
+        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
+        m.salu(s_r, r + 1, s_r);
+        m.sbranch(s_r);
+    }
+}
+
+/** VIA CSR prologue: stage the whole dense x in the SSPM, if it
+ *  fits (once per core). */
+void
+viaCsrStageX(Machine &m, Index cols, Addr x)
+{
+    if (!xFitsSspm(m, cols))
+        return;
+    const int vl = int(m.vl());
+    VReg v_x{2}, v_idx{4};
+    SReg s_i{2};
+    m.vidxClear();
+    for (Index i = 0; i < cols; i += vl) {
+        int n = std::min<Index>(vl, cols - i);
+        m.vload(v_x, x + 4 * Addr(i), VT, n);
+        m.viotaI(v_idx, i);
+        m.vidxLoadD(v_x, v_idx, n);
+        m.salu(s_i, i + vl, s_i);
+        m.sbranch(s_i);
+    }
+}
+
+/** VIA CSR over rows [lo, hi): x[col] * val straight out of the
+ *  SSPM, or the gather fallback when x did not fit. */
+void
+viaCsrRows(Machine &m, const Csr &a, const CsrImage &img,
+           const XY &xy, Index lo, Index hi)
+{
+    const int vl = int(m.vl());
+    const bool x_fits = xFitsSspm(m, a.cols());
+    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_prod{5};
+    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
+
+    for (Index r = lo; r < hi; ++r) {
+        m.sload(s_end, img.rowPtr + 4 * (Addr(r) + 1), 4);
+        m.vbroadcastF(v_acc, 0.0);
+        Index k_lo = a.rowPtr()[std::size_t(r)];
+        Index end = a.rowPtr()[std::size_t(r) + 1];
+        for (Index k = k_lo; k < end; k += vl) {
+            int n = std::min<Index>(vl, end - k);
+            m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+            m.vload(v_col, img.colIdx + 4 * Addr(k), IT, n);
+            if (x_fits) {
+                m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
+            } else {
+                m.vgather(v_x, xy.x, v_col, VT, n);
+                m.vmulF(v_prod, v_val, v_x, n);
+            }
+            m.vaddF(v_acc, v_acc, v_prod, n);
+            m.salu(s_k, k + vl, s_k);
+            m.sbranch(s_k);
+        }
+        m.vredsumF(s_acc, v_acc);
+        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
+        m.salu(s_r, r + 1, s_r);
+        m.sbranch(s_r);
+    }
+}
+
+/** Vector CSB over block rows [br_lo, br_hi). */
+void
+vectorCsbRows(Machine &m, const Csb &a, const CsbImage &img,
+              const XY &xy, Index br_lo, Index br_hi)
+{
+    const int vl = int(m.vl());
+    const Index beta = a.beta();
+    const auto col_bits = a.colBits();
+    const Index bcols = a.blockCols();
+
+    VReg v_idx{0}, v_val{1}, v_col{2}, v_row{3}, v_x{4}, v_y{5},
+        v_prod{6};
+    SReg s_end{1}, s_k{0}, s_b{7};
+
+    for (Index br = br_lo; br < br_hi; ++br) {
+        for (Index bc = 0; bc < bcols; ++bc) {
+            Index b = br * bcols + bc;
+            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
+            Index lo = a.blockPtr()[std::size_t(b)];
+            Index end = a.blockPtr()[std::size_t(b) + 1];
+            if (lo == end) {
+                m.sbranch(s_end); // skip empty block
+                continue;
+            }
+            Addr row_base = xy.y + 4 * Addr(br) * Addr(beta);
+            Addr col_base = xy.x + 4 * Addr(bc) * Addr(beta);
+            for (Index k = lo; k < end; k += vl) {
+                int n = std::min<Index>(vl, end - k);
+                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
+                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+                // Unpack the merged in-block index.
+                m.vandI(v_col, v_idx, beta - 1, n);
+                m.vshrI(v_row, v_idx, col_bits, n);
+                // Gather x, gather-update-scatter the y partials: the
+                // BBF store-load forwarding traffic of Section II-C.
+                m.vgather(v_x, col_base, v_col, VT, n);
+                m.vmulF(v_prod, v_val, v_x, n);
+                // Duplicate rows in one vector must be combined
+                // before the scatter (conflict detection + merge, as
+                // AVX-512 BBF kernels do).
+                m.vconflict(v_y, v_row, n);
+                m.vmergeIdx(v_prod, v_prod, v_row, n);
+                m.vgather(v_y, row_base, v_row, VT, n);
+                m.vaddF(v_y, v_y, v_prod, n);
+                m.vscatter(row_base, v_row, v_y, VT, n);
+                m.salu(s_k, k + vl, s_k);
+                m.sbranch(s_k);
+            }
+            m.salu(s_b, b + 1, s_b);
+            m.sbranch(s_b);
+        }
+    }
+}
+
+/** VIA CSB over block rows [br_lo, br_hi), from a cleared SSPM. */
+void
+viaCsbRows(Machine &m, const Csb &a, const CsbImage &img,
+           const XY &xy, Index br_lo, Index br_hi)
+{
+    const int vl = int(m.vl());
+    const Index beta = a.beta();
+    via_assert(std::uint64_t(2 * beta) <=
+                   m.sspm().config().sramEntries(),
+               "CSB block side ", beta, " does not fit the SSPM; "
+               "use viaCsbBeta()");
+
+    VReg v_idx{0}, v_val{1}, v_x{2}, v_out{3};
+    SReg s_end{1}, s_k{0}, s_b{7}, s_i{2};
+
+    const Index bcols = a.blockCols();
+    // y accumulators live at SSPM[beta ..), x chunks at SSPM[0..beta).
+    const std::int64_t y_off = beta;
+
+    m.vidxClear();
+    for (Index br = br_lo; br < br_hi; ++br) {
+        Index row_lo = br * beta;
+        Index row_hi = std::min<Index>(row_lo + beta, a.rows());
+        for (Index bc = 0; bc < bcols; ++bc) {
+            Index b = br * bcols + bc;
+            m.sload(s_end, img.blockPtr + 4 * (Addr(b) + 1), 4);
+            Index lo = a.blockPtr()[std::size_t(b)];
+            Index end = a.blockPtr()[std::size_t(b) + 1];
+            if (lo == end) {
+                m.sbranch(s_end); // skip empty block
+                continue;
+            }
+            // Algorithm 4 lines 4-8: stage this block's x chunk.
+            Index col_lo = bc * beta;
+            Index col_hi = std::min<Index>(col_lo + beta, a.cols());
+            for (Index i = col_lo; i < col_hi; i += vl) {
+                int n = std::min<Index>(vl, col_hi - i);
+                m.vload(v_x, xy.x + 4 * Addr(i), VT, n);
+                m.viotaI(v_idx, i - col_lo);
+                m.vidxLoadD(v_x, v_idx, n);
+                m.salu(s_i, i + vl, s_i);
+                m.sbranch(s_i);
+            }
+            // Algorithm 4 lines 11-15: multiply-accumulate blocks.
+            for (Index k = lo; k < end; k += vl) {
+                int n = std::min<Index>(vl, end - k);
+                m.vload(v_idx, img.packedIdx + 4 * Addr(k), IT, n);
+                m.vload(v_val, img.values + 4 * Addr(k), VT, n);
+                m.vidxBlkMulD(v_val, v_idx, a.colBits(), y_off, n);
+                m.salu(s_k, k + vl, s_k);
+                m.sbranch(s_k);
+            }
+            m.salu(s_b, b + 1, s_b);
+            m.sbranch(s_b);
+        }
+        // Drain the accumulators for this block row, then reset.
+        for (Index i = row_lo; i < row_hi; i += vl) {
+            int n = std::min<Index>(vl, row_hi - i);
+            m.viotaI(v_idx, y_off + (i - row_lo));
+            m.vidxMov(v_out, v_idx, n);
+            m.vstore(xy.y + 4 * Addr(i), v_out, VT, n, s_i);
+            m.salu(s_i, i + vl, s_i);
+            m.sbranch(s_i);
+        }
+        m.vidxClearSegment(std::uint64_t(y_off),
+                           std::uint64_t(y_off + beta));
+    }
 }
 
 } // namespace
@@ -116,9 +327,7 @@ spmvScalarCsr(Machine &m, const Csr &a, const DenseVector &x)
         m.salu(s_r, r + 1, s_r);
         m.sbranch(s_r);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -131,37 +340,9 @@ SpmvResult
 spmvVectorCsrAt(Machine &m, const Csr &a, const CsrImage &img,
                 const DenseVector &x)
 {
-    Addr row_ptr = img.rowPtr;
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
     XY xy = uploadXY(m, x, a.rows());
-
-    const int vl = int(m.vl());
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3};
-    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7};
-
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_end, row_ptr + 4 * (Addr(r) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index lo = a.rowPtr()[std::size_t(r)];
-        Index end = a.rowPtr()[std::size_t(r) + 1];
-        for (Index k = lo; k < end; k += vl) {
-            int n = std::min<Index>(vl, end - k);
-            m.vload(v_val, values + 4 * Addr(k), VT, n);
-            m.vload(v_col, col_idx + 4 * Addr(k), IT, n);
-            m.vgather(v_x, xy.x, v_col, VT, n);
-            m.vfmaF(v_acc, v_val, v_x, v_acc, n);
-            m.salu(s_k, k + vl, s_k);
-            m.sbranch(s_k);
-        }
-        m.vredsumF(s_acc, v_acc);
-        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
-        m.salu(s_r, r + 1, s_r);
-        m.sbranch(s_r);
-    }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    vectorCsrRows(m, a, img, xy, 0, a.rows());
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -229,9 +410,7 @@ spmvVectorSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
     if (acc_live)
         flush_row(cur_row);
 
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -279,9 +458,7 @@ spmvVectorSellAt(Machine &m, const SellCSigma &a,
         m.salu(s_ch, ch + 1, s_ch);
         m.sbranch(s_ch);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -294,58 +471,9 @@ SpmvResult
 spmvVectorCsbAt(Machine &m, const Csb &a, const CsbImage &img,
                 const DenseVector &x)
 {
-    Addr packed = img.packedIdx;
-    Addr values = img.values;
-    Addr block_ptr = img.blockPtr;
     XY xy = uploadXY(m, x, a.rows());
-
-    const int vl = int(m.vl());
-    const Index beta = a.beta();
-    const auto col_bits = a.colBits();
-
-    VReg v_idx{0}, v_val{1}, v_col{2}, v_row{3}, v_x{4}, v_y{5},
-        v_prod{6};
-    SReg s_end{1}, s_k{0}, s_b{7};
-
-    Index bcols = a.blockCols();
-    for (Index b = 0; b < a.numBlocks(); ++b) {
-        m.sload(s_end, block_ptr + 4 * (Addr(b) + 1), 4);
-        Index lo = a.blockPtr()[std::size_t(b)];
-        Index end = a.blockPtr()[std::size_t(b) + 1];
-        if (lo == end) {
-            m.sbranch(s_end); // skip empty block
-            continue;
-        }
-        Addr row_base = xy.y + 4 * Addr(b / bcols) * Addr(beta);
-        Addr col_base = xy.x + 4 * Addr(b % bcols) * Addr(beta);
-        for (Index k = lo; k < end; k += vl) {
-            int n = std::min<Index>(vl, end - k);
-            m.vload(v_idx, packed + 4 * Addr(k), IT, n);
-            m.vload(v_val, values + 4 * Addr(k), VT, n);
-            // Unpack the merged in-block index.
-            m.vandI(v_col, v_idx, beta - 1, n);
-            m.vshrI(v_row, v_idx, col_bits, n);
-            // Gather x, gather-update-scatter the y partials: the
-            // BBF store-load forwarding traffic of Section II-C.
-            m.vgather(v_x, col_base, v_col, VT, n);
-            m.vmulF(v_prod, v_val, v_x, n);
-            // Duplicate rows in one vector must be combined before
-            // the scatter (conflict detection + merge, as AVX-512
-            // BBF kernels do).
-            m.vconflict(v_y, v_row, n);
-            m.vmergeIdx(v_prod, v_prod, v_row, n);
-            m.vgather(v_y, row_base, v_row, VT, n);
-            m.vaddF(v_y, v_y, v_prod, n);
-            m.vscatter(row_base, v_row, v_y, VT, n);
-            m.salu(s_k, k + vl, s_k);
-            m.sbranch(s_k);
-        }
-        m.salu(s_b, b + 1, s_b);
-        m.sbranch(s_b);
-    }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    vectorCsbRows(m, a, img, xy, 0, a.blockRows());
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -390,9 +518,7 @@ spmvScalarCsb(Machine &m, const Csb &a, const DenseVector &x)
         m.salu(s_b, b + 1, s_b);
         m.sbranch(s_b);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -405,59 +531,10 @@ SpmvResult
 spmvViaCsrAt(Machine &m, const Csr &a, const CsrImage &img,
              const DenseVector &x)
 {
-    Addr row_ptr = img.rowPtr;
-    Addr col_idx = img.colIdx;
-    Addr values = img.values;
     XY xy = uploadXY(m, x, a.rows());
-
-    const int vl = int(m.vl());
-    bool x_fits =
-        std::uint64_t(a.cols()) <= m.sspm().config().sramEntries();
-
-    VReg v_val{0}, v_col{1}, v_x{2}, v_acc{3}, v_idx{4}, v_prod{5};
-    SReg s_end{1}, s_acc{5}, s_k{0}, s_r{7}, s_i{2};
-
-    if (x_fits) {
-        // Stage the whole dense vector in the scratchpad once.
-        m.vidxClear();
-        for (Index i = 0; i < a.cols(); i += vl) {
-            int n = std::min<Index>(vl, a.cols() - i);
-            m.vload(v_x, xy.x + 4 * Addr(i), VT, n);
-            m.viotaI(v_idx, i);
-            m.vidxLoadD(v_x, v_idx, n);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
-    }
-
-    for (Index r = 0; r < a.rows(); ++r) {
-        m.sload(s_end, row_ptr + 4 * (Addr(r) + 1), 4);
-        m.vbroadcastF(v_acc, 0.0);
-        Index lo = a.rowPtr()[std::size_t(r)];
-        Index end = a.rowPtr()[std::size_t(r) + 1];
-        for (Index k = lo; k < end; k += vl) {
-            int n = std::min<Index>(vl, end - k);
-            m.vload(v_val, values + 4 * Addr(k), VT, n);
-            m.vload(v_col, col_idx + 4 * Addr(k), IT, n);
-            if (x_fits) {
-                // x[col] * val straight out of the SSPM.
-                m.vidxMulD(v_val, v_col, ViaOut::Vrf, v_prod, 0, n);
-            } else {
-                m.vgather(v_x, xy.x, v_col, VT, n);
-                m.vmulF(v_prod, v_val, v_x, n);
-            }
-            m.vaddF(v_acc, v_acc, v_prod, n);
-            m.salu(s_k, k + vl, s_k);
-            m.sbranch(s_k);
-        }
-        m.vredsumF(s_acc, v_acc);
-        m.sstoreF(xy.y + 4 * Addr(r), s_acc, VT);
-        m.salu(s_r, r + 1, s_r);
-        m.sbranch(s_r);
-    }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    viaCsrStageX(m, a.cols(), xy.x);
+    viaCsrRows(m, a, img, xy, 0, a.rows());
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -533,9 +610,7 @@ spmvViaSpc5At(Machine &m, const Spc5 &a, const Spc5Image &img,
     }
     flush_segment(std::min(seg_base + seg_rows, a.rows()));
 
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -602,9 +677,7 @@ spmvViaSellAt(Machine &m, const SellCSigma &a, const SellImage &img,
         m.salu(s_ch, ch + 1, s_ch);
         m.sbranch(s_ch);
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    return readY(m, xy, a.rows());
 }
 
 SpmvResult
@@ -617,77 +690,50 @@ SpmvResult
 spmvViaCsbAt(Machine &m, const Csb &a, const CsbImage &img,
              const DenseVector &x)
 {
-    Addr packed = img.packedIdx;
-    Addr values = img.values;
-    Addr block_ptr = img.blockPtr;
     XY xy = uploadXY(m, x, a.rows());
+    viaCsbRows(m, a, img, xy, 0, a.blockRows());
+    return readY(m, xy, a.rows());
+}
 
-    const int vl = int(m.vl());
-    const Index beta = a.beta();
-    via_assert(std::uint64_t(2 * beta) <=
-                   m.sspm().config().sramEntries(),
-               "CSB block side ", beta, " does not fit the SSPM; "
-               "use viaCsbBeta()");
-
-    VReg v_idx{0}, v_val{1}, v_x{2}, v_out{3};
-    SReg s_end{1}, s_k{0}, s_b{7}, s_i{2};
-
-    const Index bcols = a.blockCols();
-    const Index brows = a.blockRows();
-    // y accumulators live at SSPM[beta ..), x chunks at SSPM[0..beta).
-    const std::int64_t y_off = beta;
-
-    m.vidxClear();
-    for (Index br = 0; br < brows; ++br) {
-        Index row_lo = br * beta;
-        Index row_hi = std::min<Index>(row_lo + beta, a.rows());
-        for (Index bc = 0; bc < bcols; ++bc) {
-            Index b = br * bcols + bc;
-            m.sload(s_end, block_ptr + 4 * (Addr(b) + 1), 4);
-            Index lo = a.blockPtr()[std::size_t(b)];
-            Index end = a.blockPtr()[std::size_t(b) + 1];
-            if (lo == end) {
-                m.sbranch(s_end); // skip empty block
-                continue;
-            }
-            // Algorithm 4 lines 4-8: stage this block's x chunk.
-            Index col_lo = bc * beta;
-            Index col_hi = std::min<Index>(col_lo + beta, a.cols());
-            for (Index i = col_lo; i < col_hi; i += vl) {
-                int n = std::min<Index>(vl, col_hi - i);
-                m.vload(v_x, xy.x + 4 * Addr(i), VT, n);
-                m.viotaI(v_idx, i - col_lo);
-                m.vidxLoadD(v_x, v_idx, n);
-                m.salu(s_i, i + vl, s_i);
-                m.sbranch(s_i);
-            }
-            // Algorithm 4 lines 11-15: multiply-accumulate blocks.
-            for (Index k = lo; k < end; k += vl) {
-                int n = std::min<Index>(vl, end - k);
-                m.vload(v_idx, packed + 4 * Addr(k), IT, n);
-                m.vload(v_val, values + 4 * Addr(k), VT, n);
-                m.vidxBlkMulD(v_val, v_idx, a.colBits(), y_off, n);
-                m.salu(s_k, k + vl, s_k);
-                m.sbranch(s_k);
-            }
-            m.salu(s_b, b + 1, s_b);
-            m.sbranch(s_b);
-        }
-        // Drain the accumulators for this block row, then reset.
-        for (Index i = row_lo; i < row_hi; i += vl) {
-            int n = std::min<Index>(vl, row_hi - i);
-            m.viotaI(v_idx, y_off + (i - row_lo));
-            m.vidxMov(v_out, v_idx, n);
-            m.vstore(xy.y + 4 * Addr(i), v_out, VT, n, s_i);
-            m.salu(s_i, i + vl, s_i);
-            m.sbranch(s_i);
-        }
-        m.vidxClearSegment(std::uint64_t(y_off),
-                           std::uint64_t(y_off + beta));
+SpmvResult
+spmvParallel(MultiMachine &mm, const Csr &a, const DenseVector &x,
+             const std::string &fmt, Partition part, bool via)
+{
+    via_assert(a.cols() == Index(x.size()), "SpMV shape mismatch");
+    Machine &m0 = mm.core(0);
+    if (fmt == "csr") {
+        CsrImage img = uploadCsr(m0, a);
+        XY xy = uploadXY(m0, x, a.rows());
+        auto rows = via ? viaCsrRows : vectorCsrRows;
+        dispatchUnits(
+            mm, a.rows(), part,
+            [&](Machine &m) {
+                if (via)
+                    viaCsrStageX(m, a.cols(), xy.x);
+            },
+            [&](unsigned c, Index lo, Index hi) {
+                rows(mm.core(c), a, img, xy, lo, hi);
+            });
+        return SpmvResult{
+            downloadValues(m0, xy.y, std::size_t(a.rows())),
+            mm.cycles()};
     }
-    return SpmvResult{downloadValues(m, xy.y,
-                                     std::size_t(a.rows())),
-                      m.cycles()};
+    if (fmt == "csb") {
+        // Block rows partition: each owns y rows [br*beta, (br+1)*beta).
+        const Csb csb = Csb::fromCsr(a, viaCsbBeta(m0));
+        CsbImage img = uploadCsb(m0, csb);
+        XY xy = uploadXY(m0, x, a.rows());
+        auto rows = via ? viaCsbRows : vectorCsbRows;
+        dispatchUnits(mm, csb.blockRows(), part,
+                      [&](unsigned c, Index lo, Index hi) {
+                          rows(mm.core(c), csb, img, xy, lo, hi);
+                      });
+        return SpmvResult{
+            downloadValues(m0, xy.y, std::size_t(a.rows())),
+            mm.cycles()};
+    }
+    via_fatal("spmv format '", fmt,
+              "' has no multi-core variant (csr, csb)");
 }
 
 } // namespace via::kernels

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/multi_machine.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "kernels/reference.hh"
 #include "mem/mem_system.hh"
@@ -323,6 +324,43 @@ TEST(ParallelKernels, StencilMatchesGolden)
                                             Partition::Steal, via);
         EXPECT_TRUE(allClose(res.out.data(), golden.data()))
             << "via=" << via;
+    }
+}
+
+// At one core a parallel kernel is its serial kernel: prologue plus
+// body over the whole range, on the same machine shape. Each pair
+// must agree on cycles and on every result bit.
+TEST(ParallelKernels, OneCoreMatchesSerialKernel)
+{
+    Rng rng(18);
+    Csr a = genUniform(512, 512, 0.02, rng);
+    DenseVector x = randomVector(a.cols(), rng);
+    for (const char *fmt : {"csr", "csb"}) {
+        for (bool via : {false, true}) {
+            MultiMachine par(smallParams(), 1);
+            auto p = kernels::spmvParallel(par, a, x, fmt,
+                                           Partition::Static, via);
+            MultiMachine ser(smallParams(), 1);
+            auto s = via ? kernels::spmvVia(ser.core(0), a, x, fmt)
+                         : kernels::spmvBaseline(ser.core(0), a, x,
+                                                 fmt);
+            EXPECT_EQ(p.cycles, s.cycles) << fmt << " via=" << via;
+            EXPECT_EQ(p.y, s.y) << fmt << " via=" << via;
+        }
+    }
+
+    DenseMatrix img(40, 40);
+    for (auto &px : img.data())
+        px = Value(rng.uniform() * 255.0);
+    for (bool via : {false, true}) {
+        MultiMachine par(smallParams(), 1);
+        auto p = kernels::stencilParallel(par, img, Partition::Static,
+                                          via);
+        MultiMachine ser(smallParams(), 1);
+        auto s = via ? kernels::stencilVia(ser.core(0), img)
+                     : kernels::stencilVector(ser.core(0), img);
+        EXPECT_EQ(p.cycles, s.cycles) << "stencil via=" << via;
+        EXPECT_EQ(p.out.data(), s.out.data()) << "stencil via=" << via;
     }
 }
 

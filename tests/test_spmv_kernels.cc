@@ -224,7 +224,9 @@ TEST(SpmvResident, FirstRunIsBitIdenticalToOneShot)
                 : kernels::spmvBaseline(one_shot, a, x, fmt);
 
             Machine warm(defaultParams());
-            kernels::SpmvResident res(warm, a, fmt, via);
+            kernels::SpmvResident res(warm, a, fmt,
+                                      via ? BackendKind::Via
+                                          : BackendKind::Base);
             auto r2 = res.run(warm, x);
 
             EXPECT_EQ(r1.cycles, r2.cycles)
@@ -252,7 +254,9 @@ TEST(SpmvResident, RepeatRunsAreCorrectAndWarm)
     for (const std::string &fmt : kernels::spmvFormats()) {
         for (bool via : {false, true}) {
             Machine m(defaultParams());
-            kernels::SpmvResident res(m, a, fmt, via);
+            kernels::SpmvResident res(m, a, fmt,
+                                      via ? BackendKind::Via
+                                          : BackendKind::Base);
 
             DenseVector x1 = randomVector(a.cols(), rng);
             auto r1 = res.run(m, x1);
