@@ -115,6 +115,16 @@ Options::addDouble(const std::string &key, double dflt,
 }
 
 Options &
+Options::addDoubleAbove(const std::string &key, double dflt,
+                        const std::string &help, double min,
+                        double max)
+{
+    addDouble(key, dflt, help, min, max);
+    _specs.back().minExclusive = true;
+    return *this;
+}
+
+Options &
 Options::addBool(const std::string &key, bool dflt,
                  const std::string &help)
 {
@@ -158,8 +168,10 @@ Options::checkValue(const OptionSpec &spec,
                     const std::string &value) const
 {
     auto rangeCheck = [&](double v) -> std::string {
-        if (v < spec.min || v > spec.max)
-            return "value " + value + " out of range [" +
+        bool low = spec.minExclusive ? !(v > spec.min) : !(v >= spec.min);
+        if (low || !(v <= spec.max))
+            return "value " + value + " out of range " +
+                   (spec.minExclusive ? "(" : "[") +
                    boundStr(spec.min) + ", " + boundStr(spec.max) +
                    "]";
         return "";

@@ -55,6 +55,7 @@ struct OptionSpec
     std::string help;
     double min = std::numeric_limits<double>::lowest();
     double max = std::numeric_limits<double>::max();
+    bool minExclusive = false; //!< values must exceed min
 };
 
 /**
@@ -95,6 +96,10 @@ class Options
         const std::string &help,
         double min = std::numeric_limits<double>::lowest(),
         double max = std::numeric_limits<double>::max());
+    /** A Double over (min, max]: min itself is rejected. */
+    Options &addDoubleAbove(const std::string &key, double dflt,
+                            const std::string &help, double min,
+                            double max);
     Options &addBool(const std::string &key, bool dflt,
                      const std::string &help);
     /** A bool defaulting to false (the common "flag" shape). */

@@ -174,6 +174,26 @@ TEST(OptionsDeath, OutOfRangeExits2)
                 "out of range \\[0, 1\\]");
 }
 
+TEST(OptionsDeath, ExclusiveLowerBoundExits2)
+{
+    // A density of 0 describes no input at all: the open lower bound
+    // turns it into a usage error instead of a generator assert.
+    auto make = [] {
+        Options opts("optest", "options test harness");
+        opts.addDoubleAbove("density", 0.5, "a probability", 0.0, 1.0);
+        return opts;
+    };
+    for (const char *bad : {"density=0", "density=-0.1", "density=nan"}) {
+        Options opts = make();
+        EXPECT_EXIT(opts.parse({bad}), ::testing::ExitedWithCode(2),
+                    "out of range \\(0, 1\\]")
+            << bad;
+    }
+    Options opts = make();
+    opts.parse({"density=1e-9"});
+    EXPECT_DOUBLE_EQ(opts.getDouble("density"), 1e-9);
+}
+
 TEST(OptionsDeath, MalformedArgumentExits2)
 {
     Options opts = makeOpts();

@@ -563,8 +563,8 @@ main(int argc, char **argv)
                  "simulation and checkpointing (default), or "
                  "detailed-mode simulator speed (simspeed=1)");
     opts.addUInt("rows", 16384, "reference matrix rows", 1)
-        .addDouble("density", 0.005, "reference matrix density",
-                   0.0, 1.0)
+        .addDoubleAbove("density", 0.005, "reference matrix density",
+                        0.0, 1.0)
         .addUInt("seed", 1, "generator seed")
         .addString("format", "csb", "SpMV format: csr|spc5|sell|csb")
         .addString("backend", "via",

@@ -75,8 +75,8 @@ dbOptions()
                    "Matrix Market input (default: synthetic)")
         .addString("matrix", "", "alias for mtx=")
         .addUInt("rows", 512, "synthetic matrix dimension", 1)
-        .addDouble("density", 0.01, "synthetic matrix density",
-                   0.0, 1.0)
+        .addDoubleAbove("density", 0.01, "synthetic matrix density",
+                        0.0, 1.0)
         .addString("family", "uniform",
                    "synthetic family: "
                    "banded|uniform|rmat|blocked|diag")
