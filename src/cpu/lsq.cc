@@ -15,12 +15,26 @@ StoreTracker::StoreTracker(std::uint32_t depth)
 }
 
 void
+StoreTracker::countBlocks(const StoreRec &st, int delta)
+{
+    // An entry completing at tick 0 can never delay a load (the scan
+    // needs complete > 0), so it stays out of the table.
+    if (st.complete == 0)
+        return;
+    Addr first;
+    std::size_t n = blockSpan(st.lo, st.hi, first);
+    for (std::size_t i = 0; i < n; ++i)
+        _blocks[(first + i) & (filterSize - 1)] += delta;
+}
+
+void
 StoreTracker::recordStore(Addr addr, std::uint32_t bytes, Tick when)
 {
-    _ring[_next] = StoreRec{addr, addr + bytes, when};
+    StoreRec &st = _ring[_next];
+    countBlocks(st, -1);
+    st = StoreRec{addr, addr + bytes, when};
+    countBlocks(st, +1);
     _next = (_next + 1) % _ring.size();
-    if (when > _maxComplete)
-        _maxComplete = when;
 }
 
 Tick
@@ -51,7 +65,7 @@ StoreTracker::resetTiming()
 {
     std::fill(_ring.begin(), _ring.end(), StoreRec{});
     _next = 0;
-    _maxComplete = 0;
+    _blocks.fill(0);
 }
 
 void
@@ -96,13 +110,12 @@ StoreTracker::loadState(Deserializer &des)
     std::uint64_t n = des.get();
     if (n != _ring.size())
         throw SerializeError("store tracker depth mismatch");
-    _maxComplete = 0;
+    _blocks.fill(0);
     for (StoreRec &st : _ring) {
         st.lo = des.get<Addr>();
         st.hi = des.get<Addr>();
         st.complete = des.get<Tick>();
-        if (st.complete > _maxComplete)
-            _maxComplete = st.complete;
+        countBlocks(st, +1);
     }
     _next = std::size_t(des.get());
     if (_next >= _ring.size())

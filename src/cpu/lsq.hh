@@ -12,6 +12,8 @@
 #ifndef VIA_CPU_LSQ_HH
 #define VIA_CPU_LSQ_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -109,13 +111,16 @@ class StoreTracker
      * Earliest tick a load of [addr, addr+bytes) may observe memory:
      * the max completion among overlapping tracked stores.
      *
-     * Load-only phases skip the ring scan: with no store recorded
-     * this epoch, no entry can overlap (and no conflict can count).
+     * A counting table of the 64-byte blocks the tracked stores
+     * cover screens the ring scan: a load none of whose blocks is
+     * counted overlaps no store, so the scan would find nothing and
+     * count no conflict. Any counted block runs the full scan, since
+     * conflicts() counts max-updates in ring order.
      */
     Tick
     loadReady(Addr addr, std::uint32_t bytes) const
     {
-        if (_maxComplete == 0)
+        if (!mayOverlap(addr, addr + bytes))
             return 0;
         return loadReadyScan(addr, bytes);
     }
@@ -140,12 +145,42 @@ class StoreTracker
         Tick complete = 0;
     };
 
+    /** Block-table slots (a power of two; 64 KiB of address). */
+    static constexpr std::size_t filterSize = 1024;
+    static constexpr unsigned blockShift = 6;
+
+    /**
+     * Table slots [first, first+n) (mod filterSize) of [lo, hi). An
+     * empty range takes lo's block, which holds every byte it can
+     * overlap. Ranges of filterSize blocks or more take every slot.
+     */
+    static std::size_t
+    blockSpan(Addr lo, Addr hi, Addr &first)
+    {
+        first = lo >> blockShift;
+        Addr last = (std::max(hi, lo + 1) - 1) >> blockShift;
+        return std::size_t(std::min<Addr>(last - first + 1, filterSize));
+    }
+
+    bool
+    mayOverlap(Addr lo, Addr hi) const
+    {
+        Addr first;
+        std::size_t n = blockSpan(lo, hi, first);
+        for (std::size_t i = 0; i < n; ++i)
+            if (_blocks[(first + i) & (filterSize - 1)] != 0)
+                return true;
+        return false;
+    }
+
+    /** Add (+1) or remove (-1) a ring entry's blocks in the table. */
+    void countBlocks(const StoreRec &st, int delta);
     Tick loadReadyScan(Addr addr, std::uint32_t bytes) const;
 
     std::vector<StoreRec> _ring;
     std::size_t _next = 0;
-    /** Upper bound on any tracked complete tick (0 = empty epoch). */
-    Tick _maxComplete = 0;
+    /** Ring entries covering each block slot; derived, not saved. */
+    std::array<std::uint32_t, filterSize> _blocks{};
     mutable std::uint64_t _conflicts = 0;
     TraceManager *_trace = nullptr;
 };

@@ -29,6 +29,12 @@ class Deserializer;
  * Bookings before the window base (older than any live instruction's
  * dispatch tick) can no longer occur because dispatch is monotone;
  * the window slides forward accordingly.
+ *
+ * A full slot doubles as a skip hint: it holds `units + d - 1`,
+ * meaning every cycle in [t, t+d) is known to be full, so a booking
+ * behind a saturated stretch hops over it instead of probing each
+ * cycle. Hints are compressed along the path a search walked, never
+ * written below the window base and never reach past the window.
  */
 class Resource
 {
@@ -41,8 +47,8 @@ class Resource
      *
      * The single-cycle booking (nearly every call on the
      * per-instruction path) is inlined: one bounds check, one
-     * window-slide check, then a scan that almost always stops on
-     * its first probe.
+     * window-slide check and one probe; only a full first slot
+     * takes the out-of-line hint walk.
      *
      * @return the first booked cycle
      */
@@ -53,13 +59,9 @@ class Resource
             if (when < _base)
                 when = _base;
             maybeSlide(when + 1);
-            std::size_t idx = std::size_t(when) & (windowSize - 1);
-            while (_counts[idx] >= _units) [[unlikely]] {
-                ++when;
-                idx = (idx + 1) & (windowSize - 1);
-                maybeSlide(when + 1);
-            }
-            ++_counts[idx];
+            if (slot(when) >= _units) [[unlikely]]
+                when = nextFree(when, 1);
+            ++slot(when);
             ++_busy;
             if (when + 1 > _horizon)
                 _horizon = when + 1;
@@ -92,7 +94,17 @@ class Resource
     /** Cycles tracked by the sliding window (a power of two). */
     static constexpr std::size_t windowSize = 1 << 16;
 
-    std::uint16_t &slot(Tick t);
+    std::uint16_t &
+    slot(Tick t)
+    {
+        return _counts[std::size_t(t) & (windowSize - 1)];
+    }
+
+    std::uint16_t
+    slot(Tick t) const
+    {
+        return _counts[std::size_t(t) & (windowSize - 1)];
+    }
 
     /** Slide check, inline; the slide itself is rare and cold. */
     void
@@ -103,6 +115,11 @@ class Resource
     }
 
     void slide(Tick when);
+    /** Zero the slots of the @p n cycles from @p from (n <= window). */
+    void clearSpan(Tick from, Tick n);
+    /** Cycles from _base that may hold bookings or hints. */
+    Tick liveSpan() const;
+    Tick nextFree(Tick when, Tick lead);
     Tick acquireSlow(Tick when, Tick occupancy);
 
     std::uint32_t _units = 1;

@@ -13,6 +13,7 @@
 #include "isa/opcodes.hh"
 #include "kernels/runner.hh"
 #include "simcore/rng.hh"
+#include "simcore/serialize.hh"
 #include "sparse/dense.hh"
 
 namespace via
@@ -142,6 +143,107 @@ TEST(StoreTracker, RingEvictsOldEntries)
     t.recordStore(200, 4, 30); // evicts the store at 0
     EXPECT_EQ(t.loadReady(0, 4), 0u);
     EXPECT_EQ(t.loadReady(200, 4), 30u);
+}
+
+/** The brute-force ring the block filter screens: every load scans. */
+class RingScan
+{
+  public:
+    explicit RingScan(std::size_t depth) : _ring(depth) {}
+
+    void
+    store(Addr addr, std::uint32_t bytes, Tick when)
+    {
+        _ring[_next] = Rec{addr, addr + bytes, when};
+        _next = (_next + 1) % _ring.size();
+    }
+
+    Tick
+    load(Addr addr, std::uint32_t bytes)
+    {
+        Tick ready = 0;
+        for (const Rec &st : _ring) {
+            if (st.hi > addr && st.lo < addr + bytes &&
+                st.complete > ready) {
+                ready = st.complete;
+                ++_conflicts;
+            }
+        }
+        return ready;
+    }
+
+    void
+    reset()
+    {
+        std::fill(_ring.begin(), _ring.end(), Rec{});
+        _next = 0;
+    }
+
+    std::uint64_t conflicts() const { return _conflicts; }
+
+  private:
+    struct Rec
+    {
+        Addr lo = 0;
+        Addr hi = 0;
+        Tick complete = 0;
+    };
+    std::vector<Rec> _ring;
+    std::size_t _next = 0;
+    std::uint64_t _conflicts = 0;
+};
+
+TEST(StoreTracker, BlockFilterMatchesRingScan)
+{
+    // Dense overlaps in a 4 KiB region, accesses straddling a 64-byte
+    // line, empty accesses, stores wider than the filter's 64 KiB of
+    // blocks, addresses that alias in the filter 64 KiB apart, stores
+    // completing at tick 0, ring wrap-around at several depths,
+    // timing resets and checkpoint round trips.
+    const std::uint32_t sizes[] = {0, 1, 4, 8, 16, 64, 100, 70000};
+    for (std::uint32_t depth : {1u, 3u, 8u, 64u}) {
+        Rng rng(depth);
+        StoreTracker fast(depth);
+        RingScan ref(depth);
+        for (int step = 0; step < 40000; ++step) {
+            Addr addr = 0x10000 + rng.below(4096);
+            std::uint32_t bytes = sizes[rng.below(std::size(sizes))];
+            switch (rng.below(4)) {
+            case 0: // straddle a line
+                addr = 0x10000 + 64 * (1 + rng.below(64)) - rng.below(8);
+                bytes = 8 + std::uint32_t(rng.below(9));
+                break;
+            case 1: // alias a tracked block in the filter
+                addr += 0x10000 * (1 + rng.below(4));
+                break;
+            default:
+                break;
+            }
+            std::uint64_t op = rng.below(100);
+            if (op < 45) {
+                Tick when = rng.below(10) == 0 ? 0 : 1 + rng.below(1000);
+                fast.recordStore(addr, bytes, when);
+                ref.store(addr, bytes, when);
+            } else if (op < 98) {
+                ASSERT_EQ(fast.loadReady(addr, bytes),
+                          ref.load(addr, bytes))
+                    << "depth=" << depth << " step=" << step;
+            } else if (op < 99) {
+                fast.resetTiming();
+                ref.reset();
+            } else {
+                std::vector<std::uint8_t> bytes_out;
+                Serializer ser(bytes_out);
+                fast.saveState(ser);
+                StoreTracker restored(depth);
+                Deserializer des(bytes_out);
+                restored.loadState(des);
+                fast = restored;
+            }
+            ASSERT_EQ(fast.conflicts(), ref.conflicts())
+                << "depth=" << depth << " step=" << step;
+        }
+    }
 }
 
 TEST(RunMetrics, CollectsConsistentNumbers)
