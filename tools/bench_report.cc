@@ -39,8 +39,10 @@
  *   - VIA must not lose to the baseline at the p99 latency tail
  *
  * When the baseline file is missing a leg bootstraps: it writes
- * the report and passes. CI runs all legs on every push (see
- * .github/workflows/ci.yml).
+ * the report and passes. A gate never rewrites its own baseline: a
+ * report path naming the leg's baseline or a committed BENCH_*.json
+ * is a usage error (exit 2) unless update=1 asks for exactly that.
+ * CI runs all legs on every push (see .github/workflows/ci.yml).
  *
  * Usage:
  *   bench_report [key=value ...]      (help=1 for the key table)
@@ -50,6 +52,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -83,6 +86,43 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/** The reports committed as baselines at the repository root. */
+constexpr const char *kCommittedReports[] = {
+    "BENCH_sampling.json", "BENCH_simspeed.json", "BENCH_serving.json"};
+
+/**
+ * Whether a leg may write its report to @p out: not over its own
+ * @p baseline (empty: none) nor over a committed report, unless
+ * update=1 was given. Checked before any simulation runs.
+ */
+bool
+mayWriteReport(const Options &opts, const std::string &out,
+               const std::string &baseline)
+{
+    namespace fs = std::filesystem;
+    if (opts.getBool("update"))
+        return true;
+    std::string name = fs::path(out).filename().string();
+    bool committed = false;
+    for (const char *report : kCommittedReports)
+        committed = committed || name == report;
+    auto resolved = [](const std::string &path) {
+        std::error_code ec;
+        return fs::weakly_canonical(fs::absolute(path), ec);
+    };
+    bool own = !baseline.empty() && resolved(out) == resolved(baseline);
+    if (!committed && !own)
+        return true;
+    std::fprintf(stderr,
+                 "bench_report: refusing to overwrite %s, %s; write "
+                 "the report elsewhere, or pass update=1 to rewrite "
+                 "the baseline\n",
+                 out.c_str(),
+                 own ? "the baseline this leg gates against"
+                     : "a committed baseline");
+    return false;
 }
 
 struct ModeTiming
@@ -209,8 +249,8 @@ runSimspeed(const Options &opts)
     auto repeats = std::size_t(opts.getUInt("repeats"));
     std::string out_path = opts.getString("simspeed_out");
     std::string base_path = opts.getString("simspeed_baseline");
-    if (base_path.empty())
-        base_path = out_path;
+    if (!mayWriteReport(opts, out_path, base_path))
+        return 2;
 
     std::printf("bench_report: simspeed gate (detailed mode, "
                 "best of %zu)\n",
@@ -377,8 +417,8 @@ runServing(const Options &opts)
 {
     std::string out_path = opts.getString("serve_out");
     std::string base_path = opts.getString("serve_baseline");
-    if (base_path.empty())
-        base_path = out_path;
+    if (!mayWriteReport(opts, out_path, base_path))
+        return 2;
 
     // The reference serving configuration: two SpMV classes (CSR and
     // SELL-C-sigma), arrivals fast enough that the scheduler
@@ -579,24 +619,25 @@ main(int argc, char **argv)
                  "measured instructions per unit", 1)
         .addUInt("repeats", 5, "timing repetitions, best-of", 1)
         .addUInt("sweep_points", 4, "restore fan-out width")
-        .addString("out", "BENCH_sampling.json",
+        .addString("out", "BENCH_sampling_report.json",
                    "sampling-leg JSON report path")
         .addFlag("simspeed",
                  "run the detailed-mode simulator speed gate "
                  "instead of the sampling leg")
-        .addString("simspeed_out", "BENCH_simspeed.json",
+        .addString("simspeed_out", "BENCH_simspeed_report.json",
                    "simspeed-leg JSON report path")
-        .addString("simspeed_baseline", "",
-                   "baseline JSON to gate against (default: the "
-                   "simspeed_out path)")
+        .addString("simspeed_baseline", "BENCH_simspeed.json",
+                   "baseline JSON to gate against")
         .addFlag("serve",
                  "run the serving-subsystem gate instead of the "
                  "sampling leg")
-        .addString("serve_out", "BENCH_serving.json",
+        .addString("serve_out", "BENCH_serving_report.json",
                    "serving-leg JSON report path")
-        .addString("serve_baseline", "",
-                   "baseline JSON to gate against (default: the "
-                   "serve_out path)");
+        .addString("serve_baseline", "BENCH_serving.json",
+                   "baseline JSON to gate against")
+        .addFlag("update",
+                 "allow the report to overwrite its baseline or a "
+                 "committed BENCH_*.json");
     addThreadsOption(opts);
     addSelfProfOption(opts);
     opts.parse(argc, argv);
@@ -624,6 +665,8 @@ main(int argc, char **argv)
     auto repeats = std::size_t(opts.getUInt("repeats"));
     auto sweep_points = std::size_t(opts.getUInt("sweep_points"));
     std::string out_path = opts.getString("out");
+    if (!mayWriteReport(opts, out_path, ""))
+        return 2;
 
     sample::SampleOptions sopts;
     sopts.interval = opts.getUInt("sample_interval");
