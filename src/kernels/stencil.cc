@@ -120,10 +120,11 @@ viaRows(Machine &m, const StencilMem &mem, Index lo, Index hi)
 {
     const Index W = mem.width;
     const int vl = int(m.vl());
-    auto entries = Index(m.sspm().config().sramEntries());
-    Index seg_rows = std::min<Index>(entries / W, mem.imgRows);
-    via_assert(seg_rows >= 4, "image row (", W, " px) too wide for "
-               "the SSPM segment staging");
+    const ViaConfig &via = m.sspm().config();
+    via_assert(W <= stencilViaMaxWidth(via), "image row (", W,
+               " px) too wide for the SSPM segment staging");
+    Index seg_rows =
+        std::min<Index>(Index(via.sramEntries()) / W, mem.imgRows);
 
     VReg v_f0{0}, v_f1{1}, v_pat0{2}, v_pat1{3}, v_base{4},
         v_idx{5}, v_p0{6}, v_p1{7}, v_stage{8};
@@ -190,6 +191,12 @@ StencilResult
 stencilVector(Machine &m, const DenseMatrix &img)
 {
     return runSerial(m, img, vectorRows);
+}
+
+Index
+stencilViaMaxWidth(const ViaConfig &via)
+{
+    return Index(via.sramEntries() / 4);
 }
 
 StencilResult

@@ -33,6 +33,12 @@ struct StencilResult
 StencilResult stencilVector(Machine &m, const DenseMatrix &img);
 StencilResult stencilVia(Machine &m, const DenseMatrix &img);
 
+/**
+ * Widest image stencilVia runs on with @p via: it stages whole image
+ * rows in the SSPM, at least four (one filter window) at a time.
+ */
+Index stencilViaMaxWidth(const ViaConfig &via);
+
 } // namespace via::kernels
 
 #endif // VIA_KERNELS_STENCIL_HH

@@ -156,7 +156,7 @@ simOptions()
                    "spmv sparse format: csr|spc5|sell|csb")
         .addUInt("keys", 16384, "histogram input size", 1)
         .addUInt("buckets", 1024, "histogram buckets", 1)
-        .addUInt("px", 256, "stencil image side", 1)
+        .addUInt("px", 256, "stencil image side (4x4 filter)", 4)
         .addFlag("stats", "dump the full statistics tables")
         .addFlag("json", "dump statistics as JSON instead")
         .addUInt("timeline", 0,
@@ -894,6 +894,39 @@ parseU64List(const std::string &text, const char *what)
     return out;
 }
 
+/**
+ * The VIA stencil stages four image rows in the SSPM at the least:
+ * an image too wide for that is a usage error, reported before any
+ * simulation runs (for a sweep, against every sweep_kb point).
+ */
+bool
+stencilFitsSspm(const Config &cfg, const MachineParams &params)
+{
+    if (params.backend.kind != BackendKind::Via)
+        return true;
+    auto side = Index(cfg.getUInt("px", 256));
+    std::vector<std::uint64_t> kbs{cfg.getUInt("sspm_kb", 16)};
+    if (cfg.getBool("sweep", false))
+        kbs = parseU64List(cfg.getString("sweep_kb", "4,8,16"),
+                           "sweep_kb");
+    for (std::uint64_t kb : kbs) {
+        Config pc = cfg;
+        pc.set("sspm_kb", std::to_string(kb));
+        Index widest =
+            kernels::stencilViaMaxWidth(machineParamsFrom(pc).via);
+        if (side > widest) {
+            std::fprintf(stderr,
+                         "via_sim: stencil px=%d is too wide for "
+                         "sspm_kb=%llu: VIA stages four image rows "
+                         "in the SSPM, so px must be at most %d\n",
+                         side, static_cast<unsigned long long>(kb),
+                         widest);
+            return false;
+        }
+    }
+    return true;
+}
+
 int
 runSweep(const std::string &kernel, const Config &cfg, Rng &rng)
 {
@@ -1116,6 +1149,8 @@ main(int argc, char **argv)
 
     auto cores = unsigned(cfg.getUInt("cores", 1));
     MachineParams params = machineParamsFrom(cfg);
+    if (kernel == "stencil" && !stencilFitsSspm(cfg, params))
+        return 2;
     if (cfg.getBool("sweep", false)) {
         if (cores > 1)
             via_fatal("sweep=1 is single-core; drop cores=");
