@@ -200,7 +200,8 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
         kernels::Partition part = seedPartition(ctx.seed);
         // Only csr and csb have parallel variants (spc5/sell are
         // sequential over their block/chunk streams).
-        for (const std::string &fmt : {"csr", "csb"}) {
+        for (const char *fmt_name : {"csr", "csb"}) {
+            const std::string fmt(fmt_name);
             for (bool via : {false, true}) {
                 if (!runOneMulti(
                         ctx, params, "spmv",

@@ -1,7 +1,6 @@
 #include "cpu/lsq.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "simcore/log.hh"
 #include "simcore/serialize.hh"
@@ -35,6 +34,7 @@ StoreTracker::recordStore(Addr addr, std::uint32_t bytes, Tick when)
     st = StoreRec{addr, addr + bytes, when};
     countBlocks(st, +1);
     _next = (_next + 1) % _ring.size();
+    _memo = ScanMemo{};
 }
 
 Tick
@@ -43,21 +43,28 @@ StoreTracker::loadReadyScan(Addr addr, std::uint32_t bytes) const
     Addr lo = addr;
     Addr hi = addr + bytes;
     Tick ready = 0;
+    std::uint64_t updates = 0;
     for (const auto &st : _ring) {
         if (st.hi > lo && st.lo < hi && st.complete > ready) {
             ready = st.complete;
-            ++_conflicts;
+            ++updates;
         }
     }
-    if (ready > 0 && _trace != nullptr && _trace->enabled()) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::LsqForwardStall;
-        ev.comp = TraceComponent::Lsq;
-        ev.start = ev.end = ready;
-        ev.a0 = addr;
-        _trace->emit(ev);
-    }
+    _conflicts += updates;
+    _memo = ScanMemo{lo, hi, ready, updates};
+    noteStall(addr, ready);
     return ready;
+}
+
+void
+StoreTracker::emitStall(Addr addr, Tick ready) const
+{
+    TraceEvent ev;
+    ev.kind = TraceEventKind::LsqForwardStall;
+    ev.comp = TraceComponent::Lsq;
+    ev.start = ev.end = ready;
+    ev.a0 = addr;
+    _trace->emit(ev);
 }
 
 void
@@ -66,13 +73,19 @@ StoreTracker::resetTiming()
     std::fill(_ring.begin(), _ring.end(), StoreRec{});
     _next = 0;
     _blocks.fill(0);
+    _memo = ScanMemo{};
 }
 
 void
 SlotPool::saveState(Serializer &ser) const
 {
+    // Ascending order: the same length as the heap this pool used to
+    // keep, and itself a valid min-heap.
+    std::vector<Tick> sorted(_freeAt.size());
+    std::rotate_copy(_freeAt.begin(), _freeAt.begin() + _head,
+                     _freeAt.end(), sorted.begin());
     ser.tag("SLOT");
-    ser.putVec(_freeAt);
+    ser.putVec(sorted);
 }
 
 void
@@ -82,11 +95,11 @@ SlotPool::loadState(Deserializer &des)
     auto v = des.getVec<Tick>();
     if (v.size() != _freeAt.size())
         throw SerializeError("slot pool size mismatch");
+    // Timing depends only on the multiset of free times; sort so any
+    // stored order loads, including the heap order of older images.
+    std::sort(v.begin(), v.end());
     _freeAt = std::move(v);
-    // Timing depends only on the multiset of free times; restore the
-    // heap invariant regardless of the order the file stored.
-    std::make_heap(_freeAt.begin(), _freeAt.end(),
-                   std::greater<Tick>());
+    _head = 0;
 }
 
 void
@@ -111,6 +124,7 @@ StoreTracker::loadState(Deserializer &des)
     if (n != _ring.size())
         throw SerializeError("store tracker depth mismatch");
     _blocks.fill(0);
+    _memo = ScanMemo{};
     for (StoreRec &st : _ring) {
         st.lo = des.get<Addr>();
         st.hi = des.get<Addr>();

@@ -31,10 +31,12 @@ class Deserializer;
  * occupancy). Allocation is gated on the earliest-free slot, which
  * is what bounds memory-level parallelism in a real core.
  *
- * Free times are kept as a binary min-heap, so the allocation gate
- * is a O(1) read and a booking is one sift-down — the pools are
- * probed per element access, where a linear min scan over a
- * 72-entry load queue used to dominate the schedule cost.
+ * Free times are kept as a ring sorted ascending from _head, so the
+ * allocation gate is a read of the head. A booking drops the head and
+ * inserts the new free time from the latest end; bookings arrive in
+ * roughly completion order, so it usually lands at once. The pools
+ * are probed per element access, so the common booking must cost a
+ * compare and a store.
  */
 class SlotPool
 {
@@ -45,34 +47,32 @@ class SlotPool
     {}
 
     /** Earliest tick a slot can be allocated. */
-    Tick freeAt() const { return _freeAt[0]; }
+    Tick freeAt() const { return _freeAt[_head]; }
 
     /** Occupy the earliest slot until @p until. */
     void
     reserve(Tick until)
     {
-        // Replace the min (root) and sift it down.
-        std::size_t i = 0;
+        // The head's storage becomes the tail: shift later free times
+        // up one place until @p until fits.
         const std::size_t n = _freeAt.size();
-        for (;;) {
-            std::size_t kid = 2 * i + 1;
-            if (kid >= n)
+        std::size_t pos = _head;
+        _head = _head + 1 == n ? 0 : _head + 1;
+        while (pos != _head) {
+            std::size_t prev = pos == 0 ? n - 1 : pos - 1;
+            if (_freeAt[prev] <= until)
                 break;
-            if (kid + 1 < n && _freeAt[kid + 1] < _freeAt[kid])
-                ++kid;
-            if (_freeAt[kid] >= until)
-                break;
-            _freeAt[i] = _freeAt[kid];
-            i = kid;
+            _freeAt[pos] = _freeAt[prev];
+            pos = prev;
         }
-        _freeAt[i] = until;
+        _freeAt[pos] = until;
     }
 
     void
     resetTiming()
     {
-        for (Tick &t : _freeAt)
-            t = 0;
+        std::fill(_freeAt.begin(), _freeAt.end(), Tick(0));
+        _head = 0;
     }
 
     /** Number of slots in the pool. */
@@ -95,7 +95,8 @@ class SlotPool
     void loadState(Deserializer &des);
 
   private:
-    std::vector<Tick> _freeAt; //!< min-heap of per-slot free times
+    std::vector<Tick> _freeAt; //!< per-slot free times, sorted from _head
+    std::size_t _head = 0;     //!< index of the earliest free time
 };
 
 /** Ring buffer of in-flight/recent stores for load ordering. */
@@ -116,10 +117,20 @@ class StoreTracker
      * counted overlaps no store, so the scan would find nothing and
      * count no conflict. Any counted block runs the full scan, since
      * conflicts() counts max-updates in ring order.
+     *
+     * Loads leave the ring as it is, so a load of the range the last
+     * scan covered, with no store in between, repeats that scan's
+     * result: the memo replays its ready tick, conflict count and
+     * stall event. A gather's lanes often load one word.
      */
     Tick
     loadReady(Addr addr, std::uint32_t bytes) const
     {
+        if (addr == _memo.lo && addr + bytes == _memo.hi) {
+            _conflicts += _memo.conflicts;
+            noteStall(addr, _memo.ready);
+            return _memo.ready;
+        }
         if (!mayOverlap(addr, addr + bytes))
             return 0;
         return loadReadyScan(addr, bytes);
@@ -143,6 +154,18 @@ class StoreTracker
         Addr lo = 0;
         Addr hi = 0;
         Tick complete = 0;
+    };
+
+    /**
+     * The last scan's range and outcome. The default range matches no
+     * load: that would need addr == 1 and addr + bytes == 0.
+     */
+    struct ScanMemo
+    {
+        Addr lo = 1;
+        Addr hi = 0;
+        Tick ready = 0;
+        std::uint64_t conflicts = 0; //!< max-updates the scan made
     };
 
     /** Block-table slots (a power of two; 64 KiB of address). */
@@ -177,10 +200,21 @@ class StoreTracker
     void countBlocks(const StoreRec &st, int delta);
     Tick loadReadyScan(Addr addr, std::uint32_t bytes) const;
 
+    /** Trace a load at @p addr that waits for a store until @p ready. */
+    void
+    noteStall(Addr addr, Tick ready) const
+    {
+        if (ready > 0 && _trace != nullptr && _trace->enabled())
+            emitStall(addr, ready);
+    }
+    void emitStall(Addr addr, Tick ready) const;
+
     std::vector<StoreRec> _ring;
     std::size_t _next = 0;
     /** Ring entries covering each block slot; derived, not saved. */
     std::array<std::uint32_t, filterSize> _blocks{};
+    /** Valid until the ring changes; derived, not saved. */
+    mutable ScanMemo _memo;
     mutable std::uint64_t _conflicts = 0;
     TraceManager *_trace = nullptr;
 };
