@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 
 #include "check/invariants.hh"
 #include "cpu/machine.hh"
@@ -14,6 +15,7 @@
 #include "kernels/spma.hh"
 #include "kernels/spmm.hh"
 #include "kernels/stencil.hh"
+#include "kernels/workload.hh"
 #include "simcore/log.hh"
 #include "simcore/parallel.hh"
 #include "sparse/convert.hh"
@@ -28,6 +30,8 @@ namespace check
 namespace
 {
 
+using kernels::matchesGolden;
+
 /**
  * Per-seed context threaded through every kernel run. Diagnostics
  * go through `out`, not straight to stderr: seeds may run on worker
@@ -40,6 +44,7 @@ struct SeedCtx
     FuzzStats &stats;
     std::uint64_t seed;
     std::string &out;
+    const char *kernel; //!< the workload entry being fuzzed
 };
 
 void
@@ -55,12 +60,10 @@ appendf(std::string &out, const char *fmt, ...)
 }
 
 void
-printReplay(const SeedCtx &ctx, const std::string &kernel,
-            bool multicore = false)
+printReplay(const SeedCtx &ctx, bool multicore = false)
 {
     appendf(ctx.out, "replay: via_fuzz seeds=1 seed=%llu kernel=%s",
-            static_cast<unsigned long long>(ctx.seed),
-            kernel.c_str());
+            static_cast<unsigned long long>(ctx.seed), ctx.kernel);
     // Single-core replay lines stay byte-identical to the
     // pre-multicore fuzzer; only a multi-core failure needs the
     // extra knob to reproduce.
@@ -92,13 +95,14 @@ accelTag(const MachineParams &params)
 /**
  * Run one kernel variant on a fresh machine with an invariant
  * checker attached; @p body executes the kernel and returns whether
- * the result matched the golden reference.
+ * the result matched the golden reference. @p variant names it after
+ * the kernel ("format=csr variant=base").
  *
  * @return false when the campaign must stop (failure recorded)
  */
 bool
 runOne(const SeedCtx &ctx, const MachineParams &params,
-       const std::string &kernel, const std::string &label,
+       const std::string &variant,
        const std::function<bool(Machine &)> &body)
 {
     Machine m(params);
@@ -113,14 +117,14 @@ runOne(const SeedCtx &ctx, const MachineParams &params,
 
     ++ctx.stats.failures;
     appendf(ctx.out,
-            "via_fuzz: FAIL %s config=%s seed=%llu (%s)\n",
-            label.c_str(), params.via.name().c_str(),
+            "via_fuzz: FAIL kernel=%s %s config=%s seed=%llu (%s)\n",
+            ctx.kernel, variant.c_str(), params.via.name().c_str(),
             static_cast<unsigned long long>(ctx.seed),
             !ref_ok ? "reference mismatch"
                     : "invariant violation");
     if (!inv_ok)
         ctx.out += checker.report();
-    printReplay(ctx, kernel);
+    printReplay(ctx);
     return false;
 }
 
@@ -133,7 +137,7 @@ runOne(const SeedCtx &ctx, const MachineParams &params,
  */
 bool
 runOneMulti(const SeedCtx &ctx, const MachineParams &params,
-            const std::string &kernel, const std::string &label,
+            const std::string &variant,
             const std::function<bool(MultiMachine &)> &body)
 {
     MultiMachine mm(params, ctx.opts.cores);
@@ -155,9 +159,9 @@ runOneMulti(const SeedCtx &ctx, const MachineParams &params,
 
     ++ctx.stats.failures;
     appendf(ctx.out,
-            "via_fuzz: FAIL %s cores=%u partition=%s config=%s "
-            "seed=%llu (%s)\n",
-            label.c_str(), ctx.opts.cores,
+            "via_fuzz: FAIL kernel=%s %s cores=%u partition=%s "
+            "config=%s seed=%llu (%s)\n",
+            ctx.kernel, variant.c_str(), ctx.opts.cores,
             kernels::partitionName(seedPartition(ctx.seed)),
             params.via.name().c_str(),
             static_cast<unsigned long long>(ctx.seed),
@@ -166,7 +170,7 @@ runOneMulti(const SeedCtx &ctx, const MachineParams &params,
         appendf(ctx.out, "core %u:\n", bad_core);
         ctx.out += mm.core(bad_core).checker()->report();
     }
-    printReplay(ctx, kernel, true);
+    printReplay(ctx, true);
     return false;
 }
 
@@ -177,22 +181,18 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
     DenseVector x = randomVector(a.cols(), rng);
     DenseVector golden = a.multiply(x);
     for (const std::string &fmt : kernels::spmvFormats()) {
-        auto diff = [&](kernels::SpmvResult res) {
-            return allClose(res.y, golden);
-        };
-        if (!runOne(ctx, params, "spmv",
-                    "kernel=spmv format=" + fmt + " variant=base",
+        if (!runOne(ctx, params, "format=" + fmt + " variant=base",
                     [&](Machine &m) {
-                        return diff(kernels::spmvBaseline(m, a, x,
-                                                          fmt));
+                        return matchesGolden(
+                            kernels::spmvBaseline(m, a, x, fmt),
+                            golden);
                     }))
             return false;
-        if (!runOne(ctx, params, "spmv",
-                    "kernel=spmv format=" + fmt + " " +
-                        accelTag(params),
+        if (!runOne(ctx, params,
+                    "format=" + fmt + " " + accelTag(params),
                     [&](Machine &m) {
-                        return diff(
-                            kernels::spmvAccel(m, a, x, fmt));
+                        return matchesGolden(
+                            kernels::spmvAccel(m, a, x, fmt), golden);
                     }))
             return false;
     }
@@ -204,14 +204,13 @@ fuzzSpmv(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
             const std::string fmt(fmt_name);
             for (bool via : {false, true}) {
                 if (!runOneMulti(
-                        ctx, params, "spmv",
-                        "kernel=spmv format=" + fmt + " variant=" +
+                        ctx, params,
+                        "format=" + fmt + " variant=" +
                             (via ? "via" : "base"),
                         [&](MultiMachine &mm) {
-                            return allClose(
+                            return matchesGolden(
                                 kernels::spmvParallel(mm, a, x, fmt,
-                                                      part, via)
-                                    .y,
+                                                      part, via),
                                 golden);
                         }))
                     return false;
@@ -231,29 +230,26 @@ fuzzSpma(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                        std::min(1.0, 0.05 + rng.uniform() * 0.3),
                        rng);
     Csr golden = addCsr(a, b);
-    auto diff = [&](const kernels::SpmaResult &res) {
-        return closeElements(res.c, golden, 1e-3);
-    };
-    if (!runOne(ctx, params, "spma",
-                "kernel=spma variant=scalar", [&](Machine &m) {
-                    return diff(kernels::spmaScalarCsr(m, a, b));
-                }))
+    if (!runOne(ctx, params, "variant=scalar", [&](Machine &m) {
+            return matchesGolden(kernels::spmaScalarCsr(m, a, b),
+                                 golden);
+        }))
         return false;
-    if (!runOne(ctx, params, "spma",
-                "kernel=spma " + accelTag(params),
-                [&](Machine &m) {
-                    return diff(kernels::spmaAccel(m, a, b));
-                }))
+    if (!runOne(ctx, params, accelTag(params), [&](Machine &m) {
+            return matchesGolden(kernels::spmaAccel(m, a, b), golden);
+        }))
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
         for (bool via : {false, true}) {
-            if (!runOneMulti(ctx, params, "spma",
-                             std::string("kernel=spma variant=") +
+            if (!runOneMulti(ctx, params,
+                             std::string("variant=") +
                                  (via ? "via" : "scalar"),
                              [&](MultiMachine &mm) {
-                                 return diff(kernels::spmaParallel(
-                                     mm, a, b, part, via));
+                                 return matchesGolden(
+                                     kernels::spmaParallel(mm, a, b,
+                                                           part, via),
+                                     golden);
                              }))
                 return false;
         }
@@ -271,27 +267,18 @@ fuzzSpmm(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                            rng);
     Csc b = Csc::fromCsr(b_csr);
     Csr golden = mulCsr(a, b_csr);
-    auto diff = [&](const kernels::SpmmResult &res) {
-        return closeElements(res.c, golden, 1e-2);
-    };
-    if (!runOne(ctx, params, "spmm",
-                "kernel=spmm variant=scalar", [&](Machine &m) {
-                    return diff(kernels::spmmScalarInner(m, a, b));
-                }))
+    if (!runOne(ctx, params, "variant=scalar", [&](Machine &m) {
+            return matchesGolden(kernels::spmmScalarInner(m, a, b),
+                                 golden);
+        }))
         return false;
-    // The VIA kernel loads whole A rows into the CAM; rows longer
-    // than the table cannot run on this configuration. The other
-    // backends have no such capacity cliff.
-    bool via_fits =
-        params.backend.kind != BackendKind::Via ||
-        a.maxRowNnz() <= Index(params.via.camEntries());
+    bool via_fits = kernels::spmmFitsCam(a, params);
     if (!via_fits)
         ++ctx.stats.skipped;
-    else if (!runOne(ctx, params, "spmm",
-                     "kernel=spmm " + accelTag(params),
-                     [&](Machine &m) {
-                         return diff(kernels::spmmAccel(m, a, b));
-                     }))
+    else if (!runOne(ctx, params, accelTag(params), [&](Machine &m) {
+                 return matchesGolden(kernels::spmmAccel(m, a, b),
+                                      golden);
+             }))
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
@@ -300,12 +287,14 @@ fuzzSpmm(const SeedCtx &ctx, const MachineParams &params, Rng &rng)
                 ++ctx.stats.skipped;
                 continue;
             }
-            if (!runOneMulti(ctx, params, "spmm",
-                             std::string("kernel=spmm variant=") +
+            if (!runOneMulti(ctx, params,
+                             std::string("variant=") +
                                  (via ? "via" : "scalar"),
                              [&](MultiMachine &mm) {
-                                 return diff(kernels::spmmParallel(
-                                     mm, a, b, part, via));
+                                 return matchesGolden(
+                                     kernels::spmmParallel(mm, a, b,
+                                                           part, via),
+                                     golden);
                              }))
                 return false;
         }
@@ -327,40 +316,32 @@ fuzzHistogram(const SeedCtx &ctx, const MachineParams &params,
                 ? hot
                 : Index(rng.below(std::uint64_t(buckets)));
     std::vector<Value> golden = kernels::refHistogram(keys, buckets);
-    auto diff = [&](const kernels::HistResult &res) {
-        return res.hist == golden;
-    };
-    if (!runOne(ctx, params, "histogram",
-                "kernel=histogram variant=scalar",
-                [&](Machine &m) {
-                    return diff(
-                        kernels::histScalar(m, keys, buckets));
-                }))
+    if (!runOne(ctx, params, "variant=scalar", [&](Machine &m) {
+            return matchesGolden(kernels::histScalar(m, keys, buckets),
+                                 golden);
+        }))
         return false;
-    if (!runOne(ctx, params, "histogram",
-                "kernel=histogram variant=vector",
-                [&](Machine &m) {
-                    return diff(
-                        kernels::histVector(m, keys, buckets));
-                }))
+    if (!runOne(ctx, params, "variant=vector", [&](Machine &m) {
+            return matchesGolden(kernels::histVector(m, keys, buckets),
+                                 golden);
+        }))
         return false;
-    if (!runOne(ctx, params, "histogram",
-                "kernel=histogram " + accelTag(params),
-                [&](Machine &m) {
-                    return diff(
-                        kernels::histAccel(m, keys, buckets));
-                }))
+    if (!runOne(ctx, params, accelTag(params), [&](Machine &m) {
+            return matchesGolden(kernels::histAccel(m, keys, buckets),
+                                 golden);
+        }))
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
         for (bool via : {false, true}) {
             if (!runOneMulti(
-                    ctx, params, "histogram",
-                    std::string("kernel=histogram variant=") +
-                        (via ? "via" : "vector"),
+                    ctx, params,
+                    std::string("variant=") + (via ? "via" : "vector"),
                     [&](MultiMachine &mm) {
-                        return diff(kernels::histParallel(
-                            mm, keys, buckets, part, via));
+                        return matchesGolden(
+                            kernels::histParallel(mm, keys, buckets,
+                                                  part, via),
+                            golden);
                     }))
                 return false;
         }
@@ -379,30 +360,26 @@ fuzzStencil(const SeedCtx &ctx, const MachineParams &params,
     for (auto &p : img.data())
         p = Value(rng.uniform() * 255.0);
     DenseMatrix golden = kernels::refConvolve4x4(img);
-    auto diff = [&](const kernels::StencilResult &res) {
-        return allClose(res.out.data(), golden.data());
-    };
-    if (!runOne(ctx, params, "stencil",
-                "kernel=stencil variant=vector", [&](Machine &m) {
-                    return diff(kernels::stencilVector(m, img));
-                }))
+    if (!runOne(ctx, params, "variant=vector", [&](Machine &m) {
+            return matchesGolden(kernels::stencilVector(m, img),
+                                 golden);
+        }))
         return false;
-    if (!runOne(ctx, params, "stencil",
-                "kernel=stencil " + accelTag(params),
-                [&](Machine &m) {
-                    return diff(kernels::stencilAccel(m, img));
-                }))
+    if (!runOne(ctx, params, accelTag(params), [&](Machine &m) {
+            return matchesGolden(kernels::stencilAccel(m, img), golden);
+        }))
         return false;
     if (ctx.opts.cores > 1) {
         kernels::Partition part = seedPartition(ctx.seed);
         for (bool via : {false, true}) {
             if (!runOneMulti(
-                    ctx, params, "stencil",
-                    std::string("kernel=stencil variant=") +
-                        (via ? "via" : "vector"),
+                    ctx, params,
+                    std::string("variant=") + (via ? "via" : "vector"),
                     [&](MultiMachine &mm) {
-                        return diff(kernels::stencilParallel(
-                            mm, img, part, via));
+                        return matchesGolden(
+                            kernels::stencilParallel(mm, img, part,
+                                                     via),
+                            golden);
                     }))
                 return false;
         }
@@ -423,47 +400,44 @@ struct SeedResult
  * seed). Self-contained: writes only into the returned result, so
  * seeds can run on any thread in any order.
  */
+/**
+ * Each kernel's adversarial generator and variant list, in
+ * kernels::workloads() order (runFuzz checks it): a kernel's input
+ * stream is salted by its position, so appending a kernel shifts no
+ * other kernel's inputs.
+ */
+struct KernelFuzzer
+{
+    const char *kernel;
+    bool (*run)(const SeedCtx &, const MachineParams &, Rng &);
+};
+constexpr KernelFuzzer kFuzzers[] = {{"spmv", fuzzSpmv},
+                                     {"spma", fuzzSpma},
+                                     {"spmm", fuzzSpmm},
+                                     {"histogram", fuzzHistogram},
+                                     {"stencil", fuzzStencil}};
+
 SeedResult
 runSeed(const FuzzOptions &opts,
         const std::vector<MachineParams> &configs,
         std::uint64_t seed)
 {
     SeedResult res;
-    SeedCtx ctx{opts, res.stats, seed, res.out};
     if (opts.verbose)
         appendf(res.out, "via_fuzz: seed %llu\n",
                 static_cast<unsigned long long>(seed));
     for (const MachineParams &params : configs) {
-        // Each kernel draws from its own stream so adding a kernel
-        // or config never shifts another's inputs.
-        auto sub = [&](std::uint64_t salt) {
-            return Rng(seed * 0x9e3779b97f4a7c15ull + salt);
-        };
-        bool ok = true;
-        if (opts.kernel == "all" || opts.kernel == "spmv") {
-            Rng r = sub(1);
-            ok = fuzzSpmv(ctx, params, r);
+        for (std::size_t k = 0; k < std::size(kFuzzers); ++k) {
+            const KernelFuzzer &f = kFuzzers[k];
+            if (opts.kernel != "all" && opts.kernel != f.kernel)
+                continue;
+            // Each kernel draws from its own stream so adding a
+            // kernel or config never shifts another's inputs.
+            Rng r(seed * 0x9e3779b97f4a7c15ull + k + 1);
+            SeedCtx ctx{opts, res.stats, seed, res.out, f.kernel};
+            if (!f.run(ctx, params, r))
+                return res;
         }
-        if (ok && (opts.kernel == "all" || opts.kernel == "spma")) {
-            Rng r = sub(2);
-            ok = fuzzSpma(ctx, params, r);
-        }
-        if (ok && (opts.kernel == "all" || opts.kernel == "spmm")) {
-            Rng r = sub(3);
-            ok = fuzzSpmm(ctx, params, r);
-        }
-        if (ok &&
-            (opts.kernel == "all" || opts.kernel == "histogram")) {
-            Rng r = sub(4);
-            ok = fuzzHistogram(ctx, params, r);
-        }
-        if (ok &&
-            (opts.kernel == "all" || opts.kernel == "stencil")) {
-            Rng r = sub(5);
-            ok = fuzzStencil(ctx, params, r);
-        }
-        if (!ok)
-            return res;
     }
     ++res.stats.seedsRun;
     return res;
@@ -598,6 +572,13 @@ genAdversarial(Rng &rng)
 FuzzStats
 runFuzz(const FuzzOptions &opts)
 {
+    const auto &table = kernels::workloads();
+    via_assert(table.size() == std::size(kFuzzers),
+               "every workload needs a fuzz generator");
+    for (std::size_t k = 0; k < table.size(); ++k)
+        via_assert(std::string(kFuzzers[k].kernel) == table[k].name,
+                   "kFuzzers is not in workload table order");
+
     std::vector<MachineParams> configs = fuzzConfigs();
     for (MachineParams &params : configs)
         params.backend.kind = opts.backend;

@@ -23,116 +23,122 @@ isSpmvFormat(const std::string &fmt)
     return std::find(f.begin(), f.end(), fmt) != f.end();
 }
 
+namespace
+{
+
+/**
+ * Convert @p a to @p fmt with @p m's geometry and upload it: the one
+ * place the format -> geometry decision lives. Every SpMV kernel is
+ * "upload + At", so the one-shot calls and SpmvResident share this
+ * and emit the same stream.
+ */
+SpmvUpload
+uploadSpmv(Machine &m, const Csr &a, const std::string &fmt)
+{
+    SpmvUpload up;
+    const auto vl = Index(m.vl());
+    if (fmt == "csr") {
+        up.csrImg = uploadCsr(m, a);
+    } else if (fmt == "spc5") {
+        up.spc5.emplace(Spc5::fromCsr(a, vl));
+        up.spc5Img = uploadSpc5(m, *up.spc5);
+    } else if (fmt == "sell") {
+        up.sell.emplace(SellCSigma::fromCsr(a, vl, 4 * vl));
+        up.sellImg = uploadSell(m, *up.sell);
+    } else if (fmt == "csb") {
+        up.csb.emplace(Csb::fromCsr(a, viaCsbBeta(m)));
+        up.csbImg = uploadCsb(m, *up.csb);
+    } else {
+        via_fatal("unknown SpMV format '", fmt, "'");
+    }
+    return up;
+}
+
+/** Emit the @p kind SpMV kernel for @p fmt against @p up. */
+SpmvResult
+runSpmv(Machine &m, const Csr &a, const SpmvUpload &up,
+        const std::string &fmt, BackendKind kind, const DenseVector &x)
+{
+    if (fmt == "csr") {
+        switch (kind) {
+        case BackendKind::Base:
+            return spmvVectorCsrAt(m, a, up.csrImg, x);
+        case BackendKind::Via:
+            return spmvViaCsrAt(m, a, up.csrImg, x);
+        case BackendKind::Ssr:
+            return spmvSsrCsrAt(m, a, up.csrImg, x);
+        case BackendKind::IndexMac:
+            return spmvImacCsrAt(m, a, up.csrImg, x);
+        }
+    }
+    if (fmt == "spc5") {
+        switch (kind) {
+        case BackendKind::Base:
+            return spmvVectorSpc5At(m, *up.spc5, up.spc5Img, x);
+        case BackendKind::Via:
+            return spmvViaSpc5At(m, *up.spc5, up.spc5Img, x);
+        case BackendKind::Ssr:
+            return spmvSsrSpc5At(m, *up.spc5, up.spc5Img, x);
+        case BackendKind::IndexMac:
+            return spmvImacSpc5At(m, *up.spc5, up.spc5Img, x);
+        }
+    }
+    if (fmt == "sell") {
+        switch (kind) {
+        case BackendKind::Base:
+            return spmvVectorSellAt(m, *up.sell, up.sellImg, x);
+        case BackendKind::Via:
+            return spmvViaSellAt(m, *up.sell, up.sellImg, x);
+        case BackendKind::Ssr:
+            return spmvSsrSellAt(m, *up.sell, up.sellImg, x);
+        case BackendKind::IndexMac:
+            return spmvImacSellAt(m, *up.sell, up.sellImg, x);
+        }
+    }
+    if (fmt == "csb") {
+        switch (kind) {
+        case BackendKind::Base:
+            return spmvVectorCsbAt(m, *up.csb, up.csbImg, x);
+        case BackendKind::Via:
+            return spmvViaCsbAt(m, *up.csb, up.csbImg, x);
+        case BackendKind::Ssr:
+            return spmvSsrCsbAt(m, *up.csb, up.csbImg, x);
+        case BackendKind::IndexMac:
+            return spmvImacCsbAt(m, *up.csb, up.csbImg, x);
+        }
+    }
+    via_fatal("unknown SpMV format '", fmt, "'");
+}
+
+/** One-shot SpMV: convert, upload and run the @p kind kernel. */
+SpmvResult
+spmvOnce(Machine &m, const Csr &a, const DenseVector &x,
+         const std::string &fmt, BackendKind kind)
+{
+    return runSpmv(m, a, uploadSpmv(m, a, fmt), fmt, kind, x);
+}
+
+} // namespace
+
 SpmvResult
 spmvVia(Machine &m, const Csr &a, const DenseVector &x,
         const std::string &fmt)
 {
-    if (fmt == "csr")
-        return spmvViaCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvViaSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvViaSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvViaCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
+    return spmvOnce(m, a, x, fmt, BackendKind::Via);
 }
 
 SpmvResult
 spmvBaseline(Machine &m, const Csr &a, const DenseVector &x,
              const std::string &fmt)
 {
-    if (fmt == "csr")
-        return spmvVectorCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvVectorSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvVectorSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvVectorCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
+    return spmvOnce(m, a, x, fmt, BackendKind::Base);
 }
-
-namespace
-{
-
-/** SSR SpMV by format name (one-shot). */
-SpmvResult
-spmvSsr(Machine &m, const Csr &a, const DenseVector &x,
-        const std::string &fmt)
-{
-    if (fmt == "csr")
-        return spmvSsrCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvSsrSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvSsrSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvSsrCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
-}
-
-/** IndexMAC SpMV by format name (one-shot). */
-SpmvResult
-spmvImac(Machine &m, const Csr &a, const DenseVector &x,
-         const std::string &fmt)
-{
-    if (fmt == "csr")
-        return spmvImacCsr(m, a, x);
-    if (fmt == "spc5") {
-        Spc5 s = Spc5::fromCsr(a, Index(m.vl()));
-        return spmvImacSpc5(m, s, x);
-    }
-    if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        SellCSigma s = SellCSigma::fromCsr(a, vl, 4 * vl);
-        return spmvImacSell(m, s, x);
-    }
-    if (fmt == "csb") {
-        Csb csb = Csb::fromCsr(a, viaCsbBeta(m));
-        return spmvImacCsb(m, csb, x);
-    }
-    via_fatal("unknown SpMV format '", fmt, "'");
-}
-
-} // namespace
 
 SpmvResult
 spmvAccel(Machine &m, const Csr &a, const DenseVector &x,
           const std::string &fmt)
 {
-    switch (m.backendKind()) {
-    case BackendKind::Base:
-        return spmvBaseline(m, a, x, fmt);
-    case BackendKind::Via:
-        return spmvVia(m, a, x, fmt);
-    case BackendKind::Ssr:
-        return spmvSsr(m, a, x, fmt);
-    case BackendKind::IndexMac:
-        return spmvImac(m, a, x, fmt);
-    }
-    via_fatal("unhandled backend kind");
+    return spmvOnce(m, a, x, fmt, m.backendKind());
 }
 
 SpmaResult
@@ -201,80 +207,14 @@ stencilAccel(Machine &m, const DenseMatrix &img)
 
 SpmvResident::SpmvResident(Machine &m, const Csr &a,
                            const std::string &fmt, BackendKind kind)
-    : _fmt(fmt), _kind(kind), _csr(a)
+    : _fmt(fmt), _kind(kind), _csr(a), _up(uploadSpmv(m, _csr, fmt))
 {
-    // Same conversion geometry as the one-shot dispatchers above, so
-    // the first run() on the constructing machine emits the exact
-    // one-shot stream.
-    if (fmt == "csr") {
-        _csrImg = uploadCsr(m, _csr);
-    } else if (fmt == "spc5") {
-        _spc5.emplace(Spc5::fromCsr(a, Index(m.vl())));
-        _spc5Img = uploadSpc5(m, *_spc5);
-    } else if (fmt == "sell") {
-        auto vl = Index(m.vl());
-        _sell.emplace(SellCSigma::fromCsr(a, vl, 4 * vl));
-        _sellImg = uploadSell(m, *_sell);
-    } else if (fmt == "csb") {
-        _csb.emplace(Csb::fromCsr(a, viaCsbBeta(m)));
-        _csbImg = uploadCsb(m, *_csb);
-    } else {
-        via_fatal("unknown SpMV format '", fmt, "'");
-    }
 }
 
 SpmvResult
 SpmvResident::run(Machine &m, const DenseVector &x) const
 {
-    if (_fmt == "csr") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorCsrAt(m, _csr, _csrImg, x);
-        case BackendKind::Via:
-            return spmvViaCsrAt(m, _csr, _csrImg, x);
-        case BackendKind::Ssr:
-            return spmvSsrCsrAt(m, _csr, _csrImg, x);
-        case BackendKind::IndexMac:
-            return spmvImacCsrAt(m, _csr, _csrImg, x);
-        }
-    }
-    if (_fmt == "spc5") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorSpc5At(m, *_spc5, _spc5Img, x);
-        case BackendKind::Via:
-            return spmvViaSpc5At(m, *_spc5, _spc5Img, x);
-        case BackendKind::Ssr:
-            return spmvSsrSpc5At(m, *_spc5, _spc5Img, x);
-        case BackendKind::IndexMac:
-            return spmvImacSpc5At(m, *_spc5, _spc5Img, x);
-        }
-    }
-    if (_fmt == "sell") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorSellAt(m, *_sell, _sellImg, x);
-        case BackendKind::Via:
-            return spmvViaSellAt(m, *_sell, _sellImg, x);
-        case BackendKind::Ssr:
-            return spmvSsrSellAt(m, *_sell, _sellImg, x);
-        case BackendKind::IndexMac:
-            return spmvImacSellAt(m, *_sell, _sellImg, x);
-        }
-    }
-    if (_fmt == "csb") {
-        switch (_kind) {
-        case BackendKind::Base:
-            return spmvVectorCsbAt(m, *_csb, _csbImg, x);
-        case BackendKind::Via:
-            return spmvViaCsbAt(m, *_csb, _csbImg, x);
-        case BackendKind::Ssr:
-            return spmvSsrCsbAt(m, *_csb, _csbImg, x);
-        case BackendKind::IndexMac:
-            return spmvImacCsbAt(m, *_csb, _csbImg, x);
-        }
-    }
-    via_fatal("unknown SpMV format '", _fmt, "'");
+    return runSpmv(m, _csr, _up, _fmt, _kind, x);
 }
 
 } // namespace via::kernels

@@ -71,6 +71,22 @@ HistResult histAccel(Machine &m, const std::vector<Index> &keys,
 StencilResult stencilAccel(Machine &m, const DenseMatrix &img);
 
 /**
+ * A matrix converted to one SpMV format with a machine's geometry
+ * (vector length, CSB block side) and uploaded onto it: the format's
+ * storage is set (csr needs none) along with its base addresses.
+ */
+struct SpmvUpload
+{
+    std::optional<Spc5> spc5;
+    std::optional<SellCSigma> sell;
+    std::optional<Csb> csb;
+    CsrImage csrImg;
+    Spc5Image spc5Img;
+    SellImage sellImg;
+    CsbImage csbImg;
+};
+
+/**
  * A matrix made resident on a machine: the format conversion and
  * the matrix-operand upload happen once in the constructor, and
  * every run() emits the kernel body against the recorded base
@@ -109,13 +125,7 @@ class SpmvResident
     std::string _fmt;
     BackendKind _kind;
     Csr _csr; //!< owned copy; also the conversion source
-    std::optional<Spc5> _spc5;
-    std::optional<SellCSigma> _sell;
-    std::optional<Csb> _csb;
-    CsrImage _csrImg;
-    Spc5Image _spc5Img;
-    SellImage _sellImg;
-    CsbImage _csbImg;
+    SpmvUpload _up;
 };
 
 } // namespace via::kernels

@@ -30,7 +30,6 @@
  * line bit-identical to an uninterrupted run — CTest pins this.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -41,17 +40,11 @@
 #include "cpu/machine_config.hh"
 #include "cpu/multi_machine.hh"
 #include "debug/session.hh"
-#include "kernels/dispatch.hh"
-#include "kernels/parallel.hh"
-#include "kernels/reference.hh"
+#include "kernels/workload.hh"
 #include "simcore/config.hh"
 #include "simcore/log.hh"
 #include "simcore/options.hh"
 #include "simcore/rng.hh"
-#include "sparse/convert.hh"
-#include "sparse/csc.hh"
-#include "sparse/generators.hh"
-#include "sparse/mm_io.hh"
 
 using namespace via;
 
@@ -91,146 +84,12 @@ dbOptions()
     return opts;
 }
 
-/** Synthetic-or-file matrix, mirroring via_sim's families. */
-Csr
-loadMatrix(const Config &cfg, Rng &rng)
+/** A usage error: reported before the session starts. */
+int
+usage(const std::string &why)
 {
-    if (cfg.has("matrix"))
-        return readMatrixMarket(cfg.getString("matrix", ""));
-    if (cfg.has("mtx"))
-        return readMatrixMarket(cfg.getString("mtx", ""));
-    auto n = Index(cfg.getUInt("rows", 512));
-    double density = cfg.getDouble("density", 0.01);
-    std::string family = cfg.getString("family", "uniform");
-    if (family == "banded")
-        return genBanded(n, std::max<Index>(1, n / 32),
-                         std::min(1.0, density * n / 16.0), rng);
-    if (family == "rmat") {
-        Index n2 = 1;
-        while (2 * n2 <= n)
-            n2 *= 2;
-        return genRmat(n2,
-                       std::size_t(density * double(n2) *
-                                   double(n2)),
-                       rng);
-    }
-    if (family == "blocked")
-        return genBlocked(n, 16, std::sqrt(density),
-                          std::min(0.8, 8 * std::sqrt(density)),
-                          rng);
-    if (family == "diag")
-        return genDiagHeavy(n, std::max(1.0, density * n), rng);
-    if (family != "uniform")
-        via_fatal("unknown family '", family, "'");
-    return genUniform(n, n, density, rng);
-}
-
-/**
- * Build the kernel closure: inputs and host goldens are computed
- * once here, so every rewind replay re-runs the identical work.
- */
-debug::KernelFn
-makeKernel(const std::string &kernel, const Config &cfg,
-           unsigned cores, Rng &rng)
-{
-    const auto part = kernels::parsePartition(
-        cfg.getString("partition", "static"));
-
-    if (kernel == "spmv") {
-        auto a = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto x = std::make_shared<DenseVector>(
-            randomVector(a->cols(), rng));
-        auto golden =
-            std::make_shared<DenseVector>(a->multiply(*x));
-        std::string fmt = cfg.getString("format", "csb");
-        std::printf("target: spmv (%s), %dx%d, %zu nnz\n",
-                    fmt.c_str(), a->rows(), a->cols(), a->nnz());
-        return [a, x, golden, fmt, part,
-                cores](debug::DebugTarget &t) {
-            auto res = cores > 1
-                           ? kernels::spmvParallel(*t.multi, *a, *x,
-                                                   fmt, part, true)
-                           : kernels::spmvAccel(*t.machine, *a, *x,
-                                                fmt);
-            return allClose(res.y, *golden);
-        };
-    }
-    if (kernel == "spma") {
-        auto a = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto b = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto golden = std::make_shared<Csr>(addCsr(*a, *b));
-        std::printf("target: spma, %dx%d, %zu + %zu nnz\n",
-                    a->rows(), a->cols(), a->nnz(), b->nnz());
-        return [a, b, golden, part, cores](debug::DebugTarget &t) {
-            auto res = cores > 1
-                           ? kernels::spmaParallel(*t.multi, *a, *b,
-                                                   part, true)
-                           : kernels::spmaAccel(*t.machine, *a, *b);
-            return closeElements(res.c, *golden, 1e-3);
-        };
-    }
-    if (kernel == "spmm") {
-        Config small = cfg;
-        if (!cfg.has("rows") && !cfg.has("mtx") &&
-            !cfg.has("matrix"))
-            small.set("rows", "160");
-        auto a = std::make_shared<Csr>(loadMatrix(small, rng));
-        auto b_csr = std::make_shared<Csr>(loadMatrix(small, rng));
-        auto b = std::make_shared<Csc>(Csc::fromCsr(*b_csr));
-        auto golden = std::make_shared<Csr>(mulCsr(*a, *b_csr));
-        std::printf("target: spmm, %dx%d (%zu nnz) * %dx%d "
-                    "(%zu nnz)\n",
-                    a->rows(), a->cols(), a->nnz(), b->rows(),
-                    b->cols(), b->nnz());
-        return [a, b, golden, part, cores](debug::DebugTarget &t) {
-            auto res = cores > 1
-                           ? kernels::spmmParallel(*t.multi, *a, *b,
-                                                   part, true)
-                           : kernels::spmmAccel(*t.machine, *a, *b);
-            return closeElements(res.c, *golden, 1e-2);
-        };
-    }
-    if (kernel == "histogram") {
-        auto count = std::size_t(cfg.getUInt("keys", 16384));
-        auto buckets = Index(cfg.getUInt("buckets", 1024));
-        auto keys = std::make_shared<std::vector<Index>>(count);
-        for (auto &k : *keys)
-            k = Index(rng.below(std::uint64_t(buckets)));
-        auto golden = std::make_shared<std::vector<Value>>(
-            kernels::refHistogram(*keys, buckets));
-        std::printf("target: histogram, %zu keys, %d buckets\n",
-                    count, buckets);
-        return [keys, buckets, golden, part,
-                cores](debug::DebugTarget &t) {
-            auto res =
-                cores > 1
-                    ? kernels::histParallel(*t.multi, *keys,
-                                            buckets, part, true)
-                    : kernels::histAccel(*t.machine, *keys,
-                                         buckets);
-            return res.hist == *golden;
-        };
-    }
-    if (kernel == "stencil") {
-        auto side = Index(cfg.getUInt("px", 64));
-        auto img = std::make_shared<DenseMatrix>(side, side);
-        for (auto &p : img->data())
-            p = Value(rng.uniform() * 255.0);
-        auto golden = std::make_shared<DenseMatrix>(
-            kernels::refConvolve4x4(*img));
-        std::printf("target: stencil, 4x4 Gaussian on %dx%d px\n",
-                    side, side);
-        return [img, golden, part, cores](debug::DebugTarget &t) {
-            auto res =
-                cores > 1
-                    ? kernels::stencilParallel(*t.multi, *img, part,
-                                               true)
-                    : kernels::stencilAccel(*t.machine, *img);
-            return allClose(res.out.data(), golden->data());
-        };
-    }
-    via_fatal("unknown kernel '", kernel, "'");
-    return {};
+    std::fprintf(stderr, "via_db: %s\n", why.c_str());
+    return 2;
 }
 
 } // namespace
@@ -245,30 +104,28 @@ main(int argc, char **argv)
     const std::string kernel = opts.getString("kernel");
     const auto cores = unsigned(cfg.getUInt("cores", 1));
     MachineParams params = machineParamsFrom(cfg);
-    if (cores > 1 && params.backend.kind != BackendKind::Via)
-        via_fatal("cores>1 runs the VIA parallel kernels; "
-                  "backend=", backendName(params.backend.kind),
-                  " is single-core only");
+    const kernels::Workload *w = kernels::findWorkload(kernel);
+    if (!w)
+        return usage("unknown kernel '" + kernel + "'");
+    std::string bad = kernels::checkWorkloadKeys(*w, opts, params, cores);
+    if (!bad.empty())
+        return usage(bad);
 
-    // The VIA stencil stages four image rows in the SSPM at the least.
-    if (kernel == "stencil" && params.backend.kind == BackendKind::Via) {
-        auto side = Index(cfg.getUInt("px", 64));
-        Index widest = kernels::stencilViaMaxWidth(params.via);
-        if (side > widest) {
-            std::fprintf(stderr,
-                         "via_db: stencil px=%d is too wide for "
-                         "sspm_kb=%llu: VIA stages four image rows "
-                         "in the SSPM, so px must be at most %d\n",
-                         side,
-                         static_cast<unsigned long long>(
-                             cfg.getUInt("sspm_kb", 16)),
-                         widest);
-            return 2;
-        }
-    }
-
+    // The input and golden are built once here, so every rewind
+    // replay re-runs the identical work.
     Rng rng(cfg.getUInt("seed", 1));
-    debug::KernelFn kfn = makeKernel(kernel, cfg, cores, rng);
+    auto in = std::make_shared<const kernels::WorkloadInput>(
+        w->build(opts, rng));
+    if (auto misfit = in->fit(params))
+        return usage(misfit->why);
+    std::printf("target: %s%s, %s\n", w->name, in->tag().c_str(),
+                in->shape.c_str());
+    const auto part = kernels::parsePartition(opts.getString("partition"));
+    debug::KernelFn kfn = [in, part, cores](debug::DebugTarget &t) {
+        return (cores > 1 ? in->parallel(*t.multi, part, true)
+                          : in->accel(*t.machine))
+            .ok;
+    };
 
     debug::TargetFactory factory;
     if (cores > 1) {

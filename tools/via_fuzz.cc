@@ -40,12 +40,12 @@
  */
 
 #include <cstdio>
-#include <set>
 #include <string>
 
 #include "check/fuzz.hh"
 #include "check/invariants.hh"
 #include "cpu/machine.hh"
+#include "kernels/workload.hh"
 #include "simcore/options.hh"
 
 using namespace via;
@@ -84,9 +84,7 @@ main(int argc, char **argv)
     opts.cores = unsigned(args.getUInt("cores"));
     opts.verbose = args.getBool("verbose");
 
-    static const std::set<std::string> kernels = {
-        "all", "spmv", "spma", "spmm", "histogram", "stencil"};
-    if (!kernels.count(opts.kernel)) {
+    if (opts.kernel != "all" && !kernels::findWorkload(opts.kernel)) {
         std::fprintf(stderr, "via_fuzz: unknown kernel '%s'\n",
                      opts.kernel.c_str());
         return 2;

@@ -5,6 +5,8 @@
  * Runs one kernel on one matrix (synthetic or a Matrix Market file)
  * on a configured machine, with and without VIA, and dumps the
  * statistics. This is the "try it on your own matrix" entry point.
+ * Each kernel's input, golden, labels and result check come from the
+ * workload table (kernels/workload.hh); this file wires the paths.
  * With sweep=1 the same kernel and input instead run across a grid
  * of SSPM configurations in parallel (see below).
  *
@@ -84,11 +86,10 @@
  * before the reference check to exercise the failure path.
  */
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -97,16 +98,8 @@
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
 #include "cpu/multi_machine.hh"
-#include "kernels/backend_kernels.hh"
-#include "kernels/dispatch.hh"
-#include "kernels/parallel.hh"
-#include "kernels/histogram.hh"
-#include "kernels/reference.hh"
 #include "kernels/runner.hh"
-#include "kernels/spma.hh"
-#include "kernels/stencil.hh"
-#include "kernels/spmm.hh"
-#include "kernels/spmv.hh"
+#include "kernels/workload.hh"
 #include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
 #include "simcore/config.hh"
@@ -115,9 +108,6 @@
 #include "simcore/serialize.hh"
 #include "simcore/parallel.hh"
 #include "simcore/rng.hh"
-#include "sparse/convert.hh"
-#include "sparse/generators.hh"
-#include "sparse/mm_io.hh"
 #include "trace/trace_io.hh"
 
 using namespace via;
@@ -184,56 +174,6 @@ simOptions()
     return opts;
 }
 
-/** True when no Matrix Market file was given (mtx= or matrix=). */
-bool
-syntheticInput(const Config &cfg)
-{
-    return !cfg.has("mtx") && !cfg.has("matrix");
-}
-
-Csr
-loadMatrix(const Config &cfg, Rng &rng)
-{
-    const bool stream = cfg.getBool("stream", false);
-    if (cfg.has("matrix") || cfg.has("mtx")) {
-        const std::string path = cfg.has("matrix")
-                                     ? cfg.getString("matrix", "")
-                                     : cfg.getString("mtx", "");
-        return stream ? readMatrixMarketStreaming(path)
-                      : readMatrixMarket(path);
-    }
-    auto n = Index(cfg.getUInt("rows", 512));
-    double density = cfg.getDouble("density", 0.01);
-    std::string family = cfg.getString("family", "uniform");
-    if (stream && family != "banded" && family != "rmat")
-        via_fatal("stream=1 needs family=banded|rmat or mtx= "
-                  "(got family=", family, ")");
-    if (family == "banded") {
-        const auto bw = std::max<Index>(1, n / 32);
-        const double fill = std::min(1.0, density * n / 16.0);
-        return stream ? genBandedCsr(n, bw, fill, rng)
-                      : genBanded(n, bw, fill, rng);
-    }
-    if (family == "rmat") {
-        Index n2 = 1;
-        while (2 * n2 <= n)
-            n2 *= 2;
-        const auto target =
-            std::size_t(density * double(n2) * double(n2));
-        return stream ? genRmatCsr(n2, target, rng)
-                      : genRmat(n2, target, rng);
-    }
-    if (family == "blocked")
-        return genBlocked(n, 16, std::sqrt(density),
-                          std::min(0.8, 8 * std::sqrt(density)),
-                          rng);
-    if (family == "diag")
-        return genDiagHeavy(n, std::max(1.0, density * n), rng);
-    if (family != "uniform")
-        via_fatal("unknown family '", family, "'");
-    return genUniform(n, n, density, rng);
-}
-
 void
 report(const char *name, const Machine &m, Tick baseline_cycles)
 {
@@ -246,50 +186,6 @@ report(const char *name, const Machine &m, Tick baseline_cycles)
     std::printf("  ipc %.2f  dram %.1f MB  energy %.1f uJ\n",
                 metrics.ipc, double(metrics.dramBytes()) / 1e6,
                 metrics.energy.totalPj() / 1e6);
-}
-
-// ==================================================================
-// backend=: the accelerated column of every comparison follows the
-// machine's vector backend. backend=via (the default) runs the
-// historical VIA kernels and keeps the historical labels, so default
-// output is byte-identical to the pre-backend driver.
-// ==================================================================
-
-/** Display prefix for the accelerated column. */
-const char *
-accelPrefix(BackendKind k)
-{
-    switch (k) {
-      case BackendKind::Base: return "vector";
-      case BackendKind::Via: return "VIA";
-      case BackendKind::Ssr: return "SSR";
-      case BackendKind::IndexMac: return "IndexMAC";
-    }
-    return "?";
-}
-
-const char *
-spmaAccelName(BackendKind k)
-{
-    switch (k) {
-      case BackendKind::Base: return "scalar merge";
-      case BackendKind::Via: return "VIA CAM";
-      case BackendKind::Ssr: return "SSR merge";
-      case BackendKind::IndexMac: return "IndexMAC merge";
-    }
-    return "?";
-}
-
-const char *
-spmmAccelName(BackendKind k)
-{
-    switch (k) {
-      case BackendKind::Base: return "scalar inner";
-      case BackendKind::Via: return "VIA CAM";
-      case BackendKind::Ssr: return "SSR inner";
-      case BackendKind::IndexMac: return "IndexMAC rows";
-    }
-    return "?";
 }
 
 /** json=1/stats=1 statistics dump, uniform across all kernels. */
@@ -368,13 +264,13 @@ reportEstimate(const std::string &name,
 int
 runModal(const Config &cfg, const MachineParams &params,
          const sample::SampleOptions &sopts, const std::string &name,
-         const std::function<bool(Machine &)> &body)
+         const std::function<kernels::RunOutcome(Machine &)> &body)
 {
     Machine m(params);
     maybeRestore(cfg, m);
     bool ok = false;
     sample::SampleEstimate est =
-        sample::runWith(m, sopts, [&] { ok = body(m); });
+        sample::runWith(m, sopts, [&] { ok = body(m).ok; });
     reportEstimate(name, sopts, est);
     std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
 
@@ -450,212 +346,46 @@ struct Timeline
     Tick _window = 0;
 };
 
+/**
+ * The single-core comparison: every software baseline column on a
+ * fresh machine, then the accelerated kernel of the machine's backend
+ * on the machine that restore=, tracing, timeline= and checkpoint=
+ * apply to. mode=functional/sampled runs the accelerated kernel alone.
+ */
 int
-runSpmv(const Config &cfg, const MachineParams &params, Rng &rng)
+runDetailed(const Config &cfg, const kernels::Workload &w,
+            const kernels::WorkloadInput &in,
+            const MachineParams &params)
 {
-    Csr a = loadMatrix(cfg, rng);
-    DenseVector x = randomVector(a.cols(), rng);
-    std::printf("SpMV: %dx%d, %zu nnz\n", a.rows(), a.cols(),
-                a.nnz());
-
-    std::string fmt = cfg.getString("format", "csb");
-    std::string label =
-        std::string(accelPrefix(params.backend.kind)) + " " + fmt;
+    std::printf("%s: %s\n", w.title, in.shape.c_str());
+    const std::string label =
+        in.label(w.accelLabels[std::size_t(params.backend.kind)]);
     auto sopts = sample::SampleOptions::fromConfig(cfg);
     if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res =
-                                kernels::spmvAccel(m, a, x, fmt);
-                            return allClose(res.y, a.multiply(x));
-                        });
+        return runModal(cfg, params, sopts, label, in.accel);
 
-    Machine base(params);
-    auto bres = kernels::spmvVectorCsr(base, a, x);
-    report("vector CSR", base, 0);
-
-    Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(viam, topts);
-    viam.tracePhase("spmv_" + fmt);
-    Timeline timeline;
-    timeline.install(viam, Tick(cfg.getUInt("timeline", 0)));
-    kernels::SpmvResult vres = kernels::spmvAccel(viam, a, x, fmt);
-    report(label.c_str(), viam, bres.cycles);
-    timeline.print();
-
-    bool ok = allClose(vres.y, a.multiply(x));
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
-    return ok ? 0 : 1;
-}
-
-int
-runSpma(const Config &cfg, const MachineParams &params, Rng &rng)
-{
-    Csr a = loadMatrix(cfg, rng);
-    Csr b = loadMatrix(cfg, rng);
-    std::printf("SpMA: %dx%d, %zu + %zu nnz\n", a.rows(), a.cols(),
-                a.nnz(), b.nnz());
-
-    const char *label = spmaAccelName(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::spmaAccel(m, a, b);
-                            return closeElements(res.c,
-                                                 addCsr(a, b), 1e-3);
-                        });
-
-    Machine base(params);
-    auto bres = kernels::spmaScalarCsr(base, a, b);
-    report("scalar merge", base, 0);
-
-    Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(viam, topts);
-    viam.tracePhase("spma");
-    auto vres = kernels::spmaAccel(viam, a, b);
-    report(label, viam, bres.cycles);
-
-    bool ok = closeElements(vres.c, addCsr(a, b), 1e-3);
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
-    return ok ? 0 : 1;
-}
-
-int
-runSpmm(const Config &cfg, const MachineParams &params, Rng &rng)
-{
-    Config small = cfg;
-    if (!cfg.has("rows") && syntheticInput(cfg))
-        small.set("rows", "160");
-    Csr a = loadMatrix(small, rng);
-    Csr b_csr = loadMatrix(small, rng);
-    Csc b = Csc::fromCsr(b_csr);
-    std::printf("SpMM: %dx%d (%zu nnz) * %dx%d (%zu nnz)\n",
-                a.rows(), a.cols(), a.nnz(), b.rows(), b.cols(),
-                b.nnz());
-
-    const char *label = spmmAccelName(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::spmmAccel(m, a, b);
-                            return closeElements(
-                                res.c, mulCsr(a, b_csr), 1e-2);
-                        });
-
-    Machine base(params);
-    auto bres = kernels::spmmScalarInner(base, a, b);
-    report("scalar inner", base, 0);
-
-    Machine viam(params);
-    maybeRestore(cfg, viam);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(viam, topts);
-    viam.tracePhase("spmm");
-    auto vres = kernels::spmmAccel(viam, a, b);
-    report(label, viam, bres.cycles);
-
-    bool ok = closeElements(vres.c, mulCsr(a, b_csr), 1e-2);
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(viam, topts) && ok;
-    maybeCheckpoint(cfg, viam);
-    dumpStats(cfg, viam);
-    return ok ? 0 : 1;
-}
-
-int
-runHistogram(const Config &cfg, const MachineParams &params,
-             Rng &rng)
-{
-    auto count = std::size_t(cfg.getUInt("keys", 16384));
-    auto buckets = Index(cfg.getUInt("buckets", 1024));
-    std::vector<Index> keys(count);
-    for (auto &k : keys)
-        k = Index(rng.below(std::uint64_t(buckets)));
-    std::printf("histogram: %zu keys, %d buckets\n", count, buckets);
-
-    const char *label = accelPrefix(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::histAccel(m, keys, buckets);
-                            return res.hist ==
-                                   kernels::refHistogram(keys,
-                                                         buckets);
-                        });
-
-    Machine m1(params), m2(params), m3(params);
-    maybeRestore(cfg, m3);
-    TraceOptions topts = TraceOptions::fromConfig(cfg);
-    enableTracing(m3, topts);
-    m3.tracePhase("histogram");
-    auto sres = kernels::histScalar(m1, keys, buckets);
-    report("scalar", m1, 0);
-    kernels::histVector(m2, keys, buckets);
-    report("vector CD", m2, sres.cycles);
-    auto vres = kernels::histAccel(m3, keys, buckets);
-    report(label, m3, sres.cycles);
-
-    bool ok = vres.hist == kernels::refHistogram(keys, buckets);
-    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-    ok = finishTracing(m3, topts) && ok;
-    maybeCheckpoint(cfg, m3);
-    dumpStats(cfg, m3);
-    return ok ? 0 : 1;
-}
-
-int
-runStencil(const Config &cfg, const MachineParams &params, Rng &rng)
-{
-    auto side = Index(cfg.getUInt("px", 256));
-    DenseMatrix img(side, side);
-    for (auto &p : img.data())
-        p = Value(rng.uniform() * 255.0);
-    std::printf("stencil: 4x4 Gaussian on %dx%d px\n", side, side);
-
-    const char *label = accelPrefix(params.backend.kind);
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed) {
-        DenseMatrix ref = kernels::refConvolve4x4(img);
-        return runModal(cfg, params, sopts, label,
-                        [&](Machine &m) {
-                            auto res = kernels::stencilAccel(m, img);
-                            if (cfg.getBool("inject_error", false))
-                                res.out.at(0, 0) += Value(1.0);
-                            return allClose(res.out.data(),
-                                            ref.data());
-                        });
+    Tick base_cycles = 0;
+    for (std::size_t i = 0; i < in.baselines.size(); ++i) {
+        Machine base(params);
+        Tick cycles = in.baselines[i].run(base);
+        report(in.baselines[i].label.c_str(), base, base_cycles);
+        if (i == 0)
+            base_cycles = cycles;
     }
 
-    Machine base(params);
-    auto bres = kernels::stencilVector(base, img);
-    report("vector", base, 0);
-
     Machine viam(params);
     maybeRestore(cfg, viam);
     TraceOptions topts = TraceOptions::fromConfig(cfg);
     enableTracing(viam, topts);
-    viam.tracePhase("stencil");
-    auto vres = kernels::stencilAccel(viam, img);
-    report(label, viam, bres.cycles);
+    viam.tracePhase(in.label(w.name, '_'));
+    Timeline timeline;
+    if (w.timeline)
+        timeline.install(viam, Tick(cfg.getUInt("timeline", 0)));
+    kernels::RunOutcome res = in.accel(viam);
+    report(label.c_str(), viam, base_cycles);
+    timeline.print();
 
-    if (cfg.getBool("inject_error", false))
-        vres.out.at(0, 0) += Value(1.0);
-
-    DenseMatrix ref = kernels::refConvolve4x4(img);
-    bool ok = allClose(vres.out.data(), ref.data());
+    bool ok = res.ok;
     std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
     ok = finishTracing(viam, topts) && ok;
     maybeCheckpoint(cfg, viam);
@@ -718,221 +448,82 @@ finishTracingMulti(MultiMachine &mm, const TraceOptions &topts)
     return ok;
 }
 
+/**
+ * cores>1: the baseline and the VIA parallel kernel, each on a fresh
+ * machine set; the reported makespan is the slowest core's commit
+ * front.
+ */
 int
-runParallel(const std::string &kernel, const Config &cfg,
-            const MachineParams &params, Rng &rng, unsigned cores)
+runParallel(const Config &cfg, const kernels::Workload &w,
+            const kernels::WorkloadInput &in,
+            const MachineParams &params, unsigned cores)
 {
-    auto sopts = sample::SampleOptions::fromConfig(cfg);
-    if (sopts.mode != sample::SimMode::Detailed)
-        via_fatal("cores>1 supports mode=detailed only (sampling "
-                  "and checkpoints are single-core)");
-    if (cfg.has("checkpoint") || cfg.has("restore"))
-        via_fatal("cores>1 cannot checkpoint/restore: the cores "
-                  "share one memory image");
     auto part =
         kernels::parsePartition(cfg.getString("partition", "static"));
     SharedLlcParams llcp = sharedLlcParamsFrom(cfg, params, cores);
     TraceOptions topts = TraceOptions::fromConfig(cfg);
+    std::printf("%s: %s  (%u cores, %s)\n", w.title, in.shape.c_str(),
+                cores, kernels::partitionName(part));
 
-    // Baseline and VIA each get a fresh machine set; the reported
-    // makespan is the slowest core's commit front.
-    auto runPair = [&](const char *base_name, const char *via_name,
-                       auto &&body, auto &&check) {
-        MultiMachine base(params, cores, llcp);
-        Tick bcycles = body(base, false);
-        reportMulti(base_name, base, bcycles, 0);
+    MultiMachine base(params, cores, llcp);
+    Tick bcycles = in.parallel(base, part, false).cycles;
+    reportMulti(in.label(w.parallelLabels[0]).c_str(), base, bcycles,
+                0);
 
-        MultiMachine viam(params, cores, llcp);
-        if (topts.active())
-            viam.enableTracing(topts.limit);
-        Tick vcycles = body(viam, true);
-        reportMulti(via_name, viam, vcycles, bcycles);
+    MultiMachine viam(params, cores, llcp);
+    if (topts.active())
+        viam.enableTracing(topts.limit);
+    kernels::RunOutcome res = in.parallel(viam, part, true);
+    reportMulti(in.label(w.parallelLabels[1]).c_str(), viam,
+                res.cycles, bcycles);
 
-        bool ok = check();
-        std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
-        if (topts.active())
-            ok = finishTracingMulti(viam, topts) && ok;
-        dumpStatsMulti(cfg, viam);
-        return ok ? 0 : 1;
-    };
-
-    const char *pname = kernels::partitionName(part);
-    if (kernel == "spmv") {
-        Csr a = loadMatrix(cfg, rng);
-        DenseVector x = randomVector(a.cols(), rng);
-        std::string fmt = cfg.getString("format", "csb");
-        std::printf("SpMV: %dx%d, %zu nnz  (%u cores, %s)\n",
-                    a.rows(), a.cols(), a.nnz(), cores, pname);
-        kernels::SpmvResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::spmvParallel(mm, a, x, fmt, part,
-                                             via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        std::string base_name = "vector " + fmt;
-        std::string via_name = "VIA " + fmt;
-        return runPair(base_name.c_str(), via_name.c_str(), body,
-                       [&] { return allClose(vres.y, a.multiply(x)); });
-    }
-    if (kernel == "spma") {
-        Csr a = loadMatrix(cfg, rng);
-        Csr b = loadMatrix(cfg, rng);
-        std::printf("SpMA: %dx%d, %zu + %zu nnz  (%u cores, %s)\n",
-                    a.rows(), a.cols(), a.nnz(), b.nnz(), cores,
-                    pname);
-        kernels::SpmaResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::spmaParallel(mm, a, b, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        return runPair("scalar merge", "VIA CAM", body, [&] {
-            return closeElements(vres.c, addCsr(a, b), 1e-3);
-        });
-    }
-    if (kernel == "spmm") {
-        Config small = cfg;
-        if (!cfg.has("rows") && syntheticInput(cfg))
-            small.set("rows", "160");
-        Csr a = loadMatrix(small, rng);
-        Csr b_csr = loadMatrix(small, rng);
-        Csc b = Csc::fromCsr(b_csr);
-        std::printf("SpMM: %dx%d (%zu nnz) * %dx%d (%zu nnz)  "
-                    "(%u cores, %s)\n",
-                    a.rows(), a.cols(), a.nnz(), b.rows(), b.cols(),
-                    b.nnz(), cores, pname);
-        kernels::SpmmResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::spmmParallel(mm, a, b, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        return runPair("scalar inner", "VIA CAM", body, [&] {
-            return closeElements(vres.c, mulCsr(a, b_csr), 1e-2);
-        });
-    }
-    if (kernel == "histogram") {
-        auto count = std::size_t(cfg.getUInt("keys", 16384));
-        auto buckets = Index(cfg.getUInt("buckets", 1024));
-        std::vector<Index> keys(count);
-        for (auto &k : keys)
-            k = Index(rng.below(std::uint64_t(buckets)));
-        std::printf("histogram: %zu keys, %d buckets  (%u cores, "
-                    "%s)\n",
-                    count, buckets, cores, pname);
-        kernels::HistResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res =
-                kernels::histParallel(mm, keys, buckets, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        return runPair("vector CD", "VIA", body, [&] {
-            return vres.hist == kernels::refHistogram(keys, buckets);
-        });
-    }
-    if (kernel == "stencil") {
-        auto side = Index(cfg.getUInt("px", 256));
-        DenseMatrix img(side, side);
-        for (auto &p : img.data())
-            p = Value(rng.uniform() * 255.0);
-        std::printf("stencil: 4x4 Gaussian on %dx%d px  (%u cores, "
-                    "%s)\n",
-                    side, side, cores, pname);
-        kernels::StencilResult vres;
-        auto body = [&](MultiMachine &mm, bool via) {
-            auto res = kernels::stencilParallel(mm, img, part, via);
-            if (via)
-                vres = res;
-            return res.cycles;
-        };
-        DenseMatrix ref = kernels::refConvolve4x4(img);
-        return runPair("vector", "VIA", body, [&] {
-            if (cfg.getBool("inject_error", false))
-                vres.out.at(0, 0) += Value(1.0);
-            return allClose(vres.out.data(), ref.data());
-        });
-    }
-    std::fprintf(stderr, "unknown kernel '%s'\n", kernel.c_str());
-    return 2;
+    bool ok = res.ok;
+    std::printf("result check: %s\n", ok ? "ok" : "MISMATCH");
+    if (topts.active())
+        ok = finishTracingMulti(viam, topts) && ok;
+    dumpStatsMulti(cfg, viam);
+    return ok ? 0 : 1;
 }
 
 // ==================================================================
 // sweep=1: one kernel, one input, a grid of SSPM configurations.
 // ==================================================================
 
-/** Outcome of one sweep point. */
+/** One sweep configuration. */
 struct SweepPoint
 {
-    Tick cycles = 0;
-    bool ok = false;
-    bool skipped = false; //!< input does not fit this configuration
+    std::string name; //!< "16_2p"
+    MachineParams params;
+    std::string skip; //!< non-empty: skipped, with this note
 };
 
-std::vector<std::uint64_t>
-parseU64List(const std::string &text, const char *what)
+/**
+ * A comma list of positive integers (sweep_kb=, sweep_ports=): each
+ * entry must pass the same lower bound of 1 as sspm_kb= and ports=.
+ */
+bool
+parseU64List(const std::string &text, std::vector<std::uint64_t> &out)
 {
-    std::vector<std::uint64_t> out;
     std::stringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ',')) {
         if (item.empty())
             continue;
-        try {
-            out.push_back(std::stoull(item));
-        } catch (const std::exception &) {
-            via_fatal("bad ", what, " entry '", item, "'");
-        }
-    }
-    if (out.empty())
-        via_fatal("empty list for ", what);
-    return out;
-}
-
-/**
- * The VIA stencil stages four image rows in the SSPM at the least:
- * an image too wide for that is a usage error, reported before any
- * simulation runs (for a sweep, against every sweep_kb point).
- */
-bool
-stencilFitsSspm(const Config &cfg, const MachineParams &params)
-{
-    if (params.backend.kind != BackendKind::Via)
-        return true;
-    auto side = Index(cfg.getUInt("px", 256));
-    std::vector<std::uint64_t> kbs{cfg.getUInt("sspm_kb", 16)};
-    if (cfg.getBool("sweep", false))
-        kbs = parseU64List(cfg.getString("sweep_kb", "4,8,16"),
-                           "sweep_kb");
-    for (std::uint64_t kb : kbs) {
-        Config pc = cfg;
-        pc.set("sspm_kb", std::to_string(kb));
-        Index widest =
-            kernels::stencilViaMaxWidth(machineParamsFrom(pc).via);
-        if (side > widest) {
-            std::fprintf(stderr,
-                         "via_sim: stencil px=%d is too wide for "
-                         "sspm_kb=%llu: VIA stages four image rows "
-                         "in the SSPM, so px must be at most %d\n",
-                         side, static_cast<unsigned long long>(kb),
-                         widest);
+        std::uint64_t v = 0;
+        const char *end = item.data() + item.size();
+        auto [ptr, ec] = std::from_chars(item.data(), end, v);
+        if (ec != std::errc() || ptr != end || v == 0)
             return false;
-        }
+        out.push_back(v);
     }
-    return true;
+    return !out.empty();
 }
 
 int
-runSweep(const std::string &kernel, const Config &cfg, Rng &rng)
+runSweep(const Config &cfg, const kernels::Workload &w,
+         const kernels::WorkloadInput &in,
+         const std::vector<SweepPoint> &grid)
 {
-    using PointFn = std::function<SweepPoint(const MachineParams &)>;
-    PointFn point;
-
     // Each sweep point has its own Machine, so tracing stays
     // race-free: every point writes its own file, distinguished by
     // a _<kb>_<ports>p suffix before the extension. The stdout
@@ -944,147 +535,30 @@ runSweep(const std::string &kernel, const Config &cfg, Rng &rng)
                      "trace_summary=1 is ignored in sweep mode\n");
         topts.summary = false;
     }
-
-    // Build the kernel input once; points share it read-only.
-    if (kernel == "spmv") {
-        auto a = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto x = std::make_shared<DenseVector>(
-            randomVector(a->cols(), rng));
-        auto y = std::make_shared<DenseVector>(a->multiply(*x));
-        std::string fmt = cfg.getString("format", "csb");
-        std::printf("sweep SpMV (%s): %dx%d, %zu nnz\n",
-                    fmt.c_str(), a->rows(), a->cols(), a->nnz());
-        point = [a, x, y, fmt, topts](const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("spmv_" + fmt);
-            auto res = kernels::spmvVia(m, *a, *x, fmt);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && allClose(res.y, *y), false};
-        };
-    } else if (kernel == "spma") {
-        auto a = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto b = std::make_shared<Csr>(loadMatrix(cfg, rng));
-        auto golden = std::make_shared<Csr>(addCsr(*a, *b));
-        std::printf("sweep SpMA: %dx%d, %zu + %zu nnz\n", a->rows(),
-                    a->cols(), a->nnz(), b->nnz());
-        point = [a, b, golden, topts](const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("spma");
-            auto res = kernels::spmaViaCsr(m, *a, *b);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && closeElements(res.c, *golden,
-                                                  1e-3),
-                              false};
-        };
-    } else if (kernel == "spmm") {
-        Config small = cfg;
-        if (!cfg.has("rows") && syntheticInput(cfg))
-            small.set("rows", "160");
-        auto a = std::make_shared<Csr>(loadMatrix(small, rng));
-        auto b_csr = std::make_shared<Csr>(loadMatrix(small, rng));
-        auto b = std::make_shared<Csc>(Csc::fromCsr(*b_csr));
-        auto golden = std::make_shared<Csr>(mulCsr(*a, *b_csr));
-        std::printf("sweep SpMM: %dx%d (%zu nnz) * %dx%d (%zu "
-                    "nnz)\n",
-                    a->rows(), a->cols(), a->nnz(), b->rows(),
-                    b->cols(), b->nnz());
-        point = [a, b, golden, topts](const MachineParams &params) {
-            if (a->maxRowNnz() > Index(params.via.camEntries()))
-                return SweepPoint{0, true, true};
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("spmm");
-            auto res = kernels::spmmViaInner(m, *a, *b);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && closeElements(res.c, *golden,
-                                                  1e-2),
-                              false};
-        };
-    } else if (kernel == "histogram") {
-        auto count = std::size_t(cfg.getUInt("keys", 16384));
-        auto buckets = Index(cfg.getUInt("buckets", 1024));
-        auto keys =
-            std::make_shared<std::vector<Index>>(count);
-        for (auto &k : *keys)
-            k = Index(rng.below(std::uint64_t(buckets)));
-        auto golden = std::make_shared<std::vector<Value>>(
-            kernels::refHistogram(*keys, buckets));
-        std::printf("sweep histogram: %zu keys, %d buckets\n",
-                    count, buckets);
-        point = [keys, buckets, golden, topts](
-                    const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("histogram");
-            auto res = kernels::histVia(m, *keys, buckets);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && res.hist == *golden, false};
-        };
-    } else if (kernel == "stencil") {
-        auto side = Index(cfg.getUInt("px", 256));
-        auto img = std::make_shared<DenseMatrix>(side, side);
-        for (auto &p : img->data())
-            p = Value(rng.uniform() * 255.0);
-        auto golden = std::make_shared<DenseMatrix>(
-            kernels::refConvolve4x4(*img));
-        std::printf("sweep stencil: 4x4 Gaussian on %dx%d px\n",
-                    side, side);
-        point = [img, golden, topts](const MachineParams &params) {
-            Machine m(params);
-            enableTracing(m, topts);
-            m.tracePhase("stencil");
-            auto res = kernels::stencilVia(m, *img);
-            bool ok = finishTracing(m, topts,
-                                    "_" + params.via.name());
-            return SweepPoint{res.cycles,
-                              ok && allClose(res.out.data(),
-                                             golden->data()),
-                              false};
-        };
-    } else {
-        via_fatal("unknown kernel '", kernel, "'");
-    }
-
-    auto kbs = parseU64List(cfg.getString("sweep_kb", "4,8,16"),
-                            "sweep_kb");
-    auto port_list = parseU64List(
-        cfg.getString("sweep_ports", "2,4"), "sweep_ports");
-
-    struct GridCfg
-    {
-        std::uint64_t kb;
-        std::uint32_t ports;
-    };
-    std::vector<GridCfg> grid;
-    for (std::uint64_t kb : kbs)
-        for (std::uint64_t p : port_list)
-            grid.push_back({kb, std::uint32_t(p)});
+    std::printf("sweep %s%s: %s\n", w.title, in.tag().c_str(),
+                in.shape.c_str());
 
     SweepExecutor exec(unsigned(cfg.getUInt("threads", 0)));
     std::fprintf(stderr, "sweeping %zu configs on %u threads\n",
                  grid.size(), exec.threads());
     auto results = exec.run(grid.size(), [&](std::size_t i) {
-        Config pc = cfg;
-        pc.set("sspm_kb", std::to_string(grid[i].kb));
-        pc.set("ports", std::to_string(grid[i].ports));
-        return point(machineParamsFrom(pc));
+        const SweepPoint &pt = grid[i];
+        if (!pt.skip.empty())
+            return kernels::RunOutcome{};
+        Machine m(pt.params);
+        enableTracing(m, topts);
+        m.tracePhase(in.label(w.name, '_'));
+        kernels::RunOutcome res = in.accel(m);
+        res.ok = finishTracing(m, topts, "_" + pt.params.via.name()) &&
+                 res.ok;
+        return res;
     });
 
     // First non-skipped config is the normalization baseline.
     double base_cycles = 0.0;
-    for (const SweepPoint &r : results)
-        if (!r.skipped) {
-            base_cycles = double(r.cycles);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        if (grid[i].skip.empty()) {
+            base_cycles = double(results[i].cycles);
             break;
         }
 
@@ -1092,21 +566,28 @@ runSweep(const std::string &kernel, const Config &cfg, Rng &rng)
                 "speedup", "check");
     bool all_ok = true;
     for (std::size_t i = 0; i < grid.size(); ++i) {
-        std::string name = std::to_string(grid[i].kb) + "_" +
-                           std::to_string(grid[i].ports) + "p";
-        if (results[i].skipped) {
-            std::printf("%-10s %14s %9s  %s\n", name.c_str(), "-",
-                        "-", "skipped (exceeds CAM)");
+        const char *name = grid[i].name.c_str();
+        if (!grid[i].skip.empty()) {
+            std::printf("%-10s %14s %9s  skipped (%s)\n", name, "-",
+                        "-", grid[i].skip.c_str());
             continue;
         }
         all_ok = all_ok && results[i].ok;
-        std::printf("%-10s %14llu %8.2fx  %s\n", name.c_str(),
+        std::printf("%-10s %14llu %8.2fx  %s\n", name,
                     static_cast<unsigned long long>(
                         results[i].cycles),
                     base_cycles / double(results[i].cycles),
                     results[i].ok ? "ok" : "MISMATCH");
     }
     return all_ok ? 0 : 1;
+}
+
+/** A usage error: reported before any header line or simulation. */
+int
+usage(const std::string &why)
+{
+    std::fprintf(stderr, "via_sim: %s\n", why.c_str());
+    return 2;
 }
 
 } // namespace
@@ -1149,35 +630,67 @@ main(int argc, char **argv)
 
     auto cores = unsigned(cfg.getUInt("cores", 1));
     MachineParams params = machineParamsFrom(cfg);
-    if (kernel == "stencil" && !stencilFitsSspm(cfg, params))
-        return 2;
-    if (cfg.getBool("sweep", false)) {
+    const kernels::Workload *w = kernels::findWorkload(kernel);
+    if (!w)
+        return usage("unknown kernel '" + kernel + "'");
+    std::string bad = kernels::checkWorkloadKeys(*w, opts, params, cores);
+    if (!bad.empty())
+        return usage(bad);
+
+    const bool sweep = cfg.getBool("sweep", false);
+    std::vector<SweepPoint> grid;
+    if (sweep) {
         if (cores > 1)
-            via_fatal("sweep=1 is single-core; drop cores=");
+            return usage("sweep=1 is single-core; drop cores=");
         if (params.backend.kind != BackendKind::Via)
-            via_fatal("sweep=1 sweeps VIA SSPM configurations; "
-                      "it requires backend=via");
-        return runSweep(kernel, cfg, rng);
+            return usage("sweep=1 sweeps VIA SSPM configurations; it "
+                         "requires backend=via");
+        std::vector<std::uint64_t> kbs, ports;
+        const std::string kb_text = cfg.getString("sweep_kb", "4,8,16");
+        const std::string port_text =
+            cfg.getString("sweep_ports", "2,4");
+        if (!parseU64List(kb_text, kbs))
+            return usage("bad sweep_kb list '" + kb_text + "'");
+        if (!parseU64List(port_text, ports))
+            return usage("bad sweep_ports list '" + port_text + "'");
+        for (std::uint64_t kb : kbs)
+            for (std::uint64_t p : ports) {
+                Config pc = cfg;
+                pc.set("sspm_kb", std::to_string(kb));
+                pc.set("ports", std::to_string(p));
+                grid.push_back({std::to_string(kb) + "_" +
+                                    std::to_string(p) + "p",
+                                machineParamsFrom(pc), ""});
+            }
+    } else if (cores > 1) {
+        if (sample::SampleOptions::fromConfig(cfg).mode !=
+            sample::SimMode::Detailed)
+            return usage("cores>1 supports mode=detailed only "
+                         "(sampling and checkpoints are single-core)");
+        if (cfg.has("checkpoint") || cfg.has("restore"))
+            return usage("cores>1 cannot checkpoint/restore: the cores "
+                         "share one memory image");
     }
 
-    if (cores > 1) {
-        if (params.backend.kind != BackendKind::Via)
-            via_fatal("cores>1 runs the VIA parallel kernels; "
-                      "backend=",
-                      backendName(params.backend.kind),
-                      " is single-core only");
-        return runParallel(kernel, cfg, params, rng, cores);
+    // Build the input once; every run shares it read-only. A sweep
+    // skips a point the input does not fit where the kernel allows
+    // it; any other misfit is a usage error.
+    const kernels::WorkloadInput in = w->build(opts, rng);
+    if (!sweep) {
+        if (auto misfit = in.fit(params))
+            return usage(misfit->why);
     }
-    if (kernel == "spmv")
-        return runSpmv(cfg, params, rng);
-    if (kernel == "spma")
-        return runSpma(cfg, params, rng);
-    if (kernel == "spmm")
-        return runSpmm(cfg, params, rng);
-    if (kernel == "histogram")
-        return runHistogram(cfg, params, rng);
-    if (kernel == "stencil")
-        return runStencil(cfg, params, rng);
-    std::fprintf(stderr, "unknown kernel '%s'\n", kernel.c_str());
-    return 2;
+    for (SweepPoint &pt : grid) {
+        if (auto misfit = in.fit(pt.params)) {
+            if (misfit->skip.empty())
+                return usage(misfit->why);
+            pt.skip = misfit->skip;
+        }
+    }
+
+    if (sweep)
+        return runSweep(cfg, *w, in, grid);
+    if (cores > 1)
+        return runParallel(cfg, *w, in, params, cores);
+    return runDetailed(cfg, *w, in, params);
 }
