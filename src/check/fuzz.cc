@@ -69,6 +69,10 @@ printReplay(const SeedCtx &ctx, bool multicore = false)
     // extra knob to reproduce.
     if (multicore)
         appendf(ctx.out, " cores=%u", ctx.opts.cores);
+    if (ctx.opts.mode == sample::SimMode::Functional)
+        appendf(ctx.out, " mode=functional");
+    else if (ctx.opts.mode == sample::SimMode::Sampled)
+        appendf(ctx.out, " mode=sampled");
     appendf(ctx.out, "\n");
 }
 
@@ -94,9 +98,10 @@ accelTag(const MachineParams &params)
 
 /**
  * Run one kernel variant on a fresh machine with an invariant
- * checker attached; @p body executes the kernel and returns whether
- * the result matched the golden reference. @p variant names it after
- * the kernel ("format=csr variant=base").
+ * checker attached, in the campaign's mode; @p body executes the
+ * kernel and returns whether the result matched the golden
+ * reference. @p variant names it after the kernel ("format=csr
+ * variant=base").
  *
  * @return false when the campaign must stop (failure recorded)
  */
@@ -107,7 +112,12 @@ runOne(const SeedCtx &ctx, const MachineParams &params,
 {
     Machine m(params);
     TimingInvariantChecker &checker = m.attachChecker();
-    bool ref_ok = body(m);
+    sample::SampleOptions sopts = sampledOptions();
+    sopts.mode = ctx.opts.mode;
+    bool ref_ok = false;
+    sample::runWith(m, sopts, [&] { ref_ok = body(m); });
+    ctx.stats.detailedInsts += m.core().stats().insts;
+    ctx.stats.functionalInsts += m.functional().stats().insts;
     if (ctx.opts.inject)
         ctx.opts.inject(m);
     bool inv_ok = checker.checkAll();
@@ -445,6 +455,17 @@ runSeed(const FuzzOptions &opts,
 
 } // namespace
 
+sample::SampleOptions
+sampledOptions()
+{
+    sample::SampleOptions opts;
+    opts.mode = sample::SimMode::Sampled;
+    opts.interval = 64;
+    opts.warmup = 8;
+    opts.measure = 16;
+    return opts;
+}
+
 std::vector<MachineParams>
 fuzzConfigs()
 {
@@ -575,6 +596,9 @@ runFuzz(const FuzzOptions &opts)
     const auto &table = kernels::workloads();
     via_assert(table.size() == std::size(kFuzzers),
                "every workload needs a fuzz generator");
+    via_assert(opts.cores == 1 ||
+                   opts.mode == sample::SimMode::Detailed,
+               "the fuzzer samples single-core runs only");
     for (std::size_t k = 0; k < table.size(); ++k)
         via_assert(std::string(kFuzzers[k].kernel) == table[k].name,
                    "kFuzzers is not in workload table order");
@@ -599,6 +623,8 @@ runFuzz(const FuzzOptions &opts)
         stats.kernelRuns += res.stats.kernelRuns;
         stats.skipped += res.stats.skipped;
         stats.failures += res.stats.failures;
+        stats.detailedInsts += res.stats.detailedInsts;
+        stats.functionalInsts += res.stats.functionalInsts;
     }
     return stats;
 }

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cpu/core_params.hh"
+#include "sample/sampling.hh"
 #include "simcore/rng.hh"
 #include "sparse/csr.hh"
 
@@ -75,6 +76,18 @@ struct FuzzOptions
     unsigned cores = 1;
 
     /**
+     * How each single-core kernel run executes. Detailed (the
+     * default) times every instruction; Functional sends every
+     * instruction through the warming path; Sampled runs interval
+     * sampling at sampledOptions()'s small interval, so the
+     * detailed and functional paths alternate inside every run.
+     * The goldens and invariant checks are the same in every mode.
+     * Non-detailed modes are single-core (cores must be 1); a
+     * failing run's replay line carries mode=.
+     */
+    sample::SimMode mode = sample::SimMode::Detailed;
+
+    /**
      * Self-test hook: applied to each machine after its kernel ran
      * but before the invariant checks, so a deliberate counter
      * perturbation must be caught and reported with a replay seed.
@@ -89,6 +102,9 @@ struct FuzzStats
     std::uint64_t kernelRuns = 0; //!< kernel x config x variant runs
     std::uint64_t skipped = 0;    //!< input exceeded a config's CAM
     std::uint64_t failures = 0;   //!< mismatches + violations
+    /** Single-core instructions per path (OoO core, warming). */
+    std::uint64_t detailedInsts = 0;
+    std::uint64_t functionalInsts = 0;
 };
 
 /**
@@ -98,6 +114,14 @@ struct FuzzStats
  * execute.
  */
 std::vector<MachineParams> fuzzConfigs();
+
+/**
+ * The sampling knobs of a mode=sampled campaign: a 64-instruction
+ * interval of 8 warmup, 16 measured and 40 fast-forwarded
+ * instructions, short enough that the fuzzer's small kernels cross
+ * several detailed/functional boundaries.
+ */
+sample::SampleOptions sampledOptions();
 
 /**
  * Deterministically generate one adversarial sparse matrix from

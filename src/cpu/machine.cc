@@ -225,15 +225,24 @@ Machine::sid(SReg r)
     return std::int16_t(r.id);
 }
 
-Inst
+Inst &
 Machine::makeInst(Op op, int vl, std::int16_t dst, std::int16_t s0,
                   std::int16_t s1, std::int16_t s2)
 {
-    Inst inst;
+    via_assert(!_issuing, "instruction built while ",
+               mnemonic(_inst.op), " is inside issue");
+    Inst &inst = _inst;
     inst.op = op;
     inst.vl = std::uint8_t(vl < 0 ? 0 : vl);
     inst.dst = dst;
     inst.src = {s0, s1, s2};
+    inst.numAccesses = 0;
+    inst.sspmReads = 0;
+    inst.sspmWrites = 0;
+    inst.camSearches = 0;
+    inst.isDataBranch = false;
+    inst.branchTaken = false;
+    inst.branchSite = 0;
     inst.seq = _seq++;
     return inst;
 }
@@ -241,6 +250,15 @@ Machine::makeInst(Op op, int vl, std::int16_t dst, std::int16_t s0,
 void
 Machine::issue(const Inst &inst)
 {
+    // Cleared on unwind too: a debugger rewind throws out of push.
+    struct Issuing
+    {
+        bool &flag;
+        explicit Issuing(bool &f) : flag(f) { flag = true; }
+        ~Issuing() { flag = false; }
+        Issuing(const Issuing &) = delete;
+        Issuing &operator=(const Issuing &) = delete;
+    } issuing(_issuing);
     if (_policy == nullptr || _policy->detailedNext(inst))
         _core->push(inst);
     else
@@ -356,7 +374,7 @@ Machine::sbranch(SReg cond)
 void
 Machine::sbranchData(SReg cond, std::uint64_t site, bool taken)
 {
-    Inst inst = makeInst(Op::SBranch, 0, REG_NONE, sid(cond));
+    Inst &inst = makeInst(Op::SBranch, 0, REG_NONE, sid(cond));
     inst.isDataBranch = true;
     inst.branchSite = std::uint32_t(site);
     inst.branchTaken = taken;
@@ -377,7 +395,7 @@ Machine::sload(SReg dst, Addr addr, std::uint32_t bytes,
     via_assert(dst.id >= 0 && dst.id < NUM_SREGS, "bad sreg");
     _srf[std::size_t(dst.id)] = raw;
 
-    Inst inst = makeInst(Op::SLoad, 0, sid(dst), sid(addr_dep));
+    Inst &inst = makeInst(Op::SLoad, 0, sid(dst), sid(addr_dep));
     inst.addAccess(addr, bytes, false);
     issue(inst);
 }
@@ -390,8 +408,8 @@ Machine::sstore(Addr addr, SReg src, std::uint32_t bytes,
     std::uint64_t raw = sregRaw(src);
     _mem->write(addr, &raw, bytes);
 
-    Inst inst = makeInst(Op::SStore, 0, REG_NONE, sid(src),
-                         sid(addr_dep));
+    Inst &inst = makeInst(Op::SStore, 0, REG_NONE, sid(src),
+                          sid(addr_dep));
     inst.addAccess(addr, bytes, true);
     issue(inst);
 }
@@ -408,7 +426,7 @@ Machine::sloadF(SReg dst, Addr addr, ElemType t, SReg addr_dep)
     }
     setSregF(dst, v);
 
-    Inst inst = makeInst(Op::SLoad, 0, sid(dst), sid(addr_dep));
+    Inst &inst = makeInst(Op::SLoad, 0, sid(dst), sid(addr_dep));
     inst.addAccess(addr, elemBytes(t), false);
     issue(inst);
 }
@@ -424,8 +442,8 @@ Machine::sstoreF(Addr addr, SReg src, ElemType t, SReg addr_dep)
         _mem->store<float>(addr, float(v));
     }
 
-    Inst inst = makeInst(Op::SStore, 0, REG_NONE, sid(src),
-                         sid(addr_dep));
+    Inst &inst = makeInst(Op::SStore, 0, REG_NONE, sid(src),
+                          sid(addr_dep));
     inst.addAccess(addr, elemBytes(t), true);
     issue(inst);
 }
@@ -438,17 +456,23 @@ Machine::vload(VReg dst, Addr addr, ElemType t, int vl, SReg addr_dep)
     std::uint32_t n = resolveVl(t, vl);
     std::uint32_t eb = elemBytes(t);
     VecValue &d = _vrf[dst.id];
-    for (std::uint32_t l = 0; l < n; ++l) {
-        std::uint64_t raw = 0;
-        _mem->read(addr + Addr(l) * eb, &raw, eb);
-        if (t == ElemType::I32)
-            raw = std::uint64_t(std::int64_t(std::int32_t(raw)));
-        d.raw[l] = raw;
+    // One move for the contiguous span, then widen each lane in the
+    // register (I32 sign-extends, F32 zero-extends).
+    if (eb == 8) {
+        _mem->read(addr, d.raw.data(), n * eb);
+    } else {
+        std::array<std::uint32_t, MAX_LANES> lanes{};
+        _mem->read(addr, lanes.data(), n * eb);
+        for (std::uint32_t l = 0; l < n; ++l)
+            d.raw[l] = t == ElemType::I32
+                           ? std::uint64_t(std::int64_t(
+                                 std::int32_t(lanes[l])))
+                           : lanes[l];
     }
     for (std::uint32_t l = n; l < MAX_LANES; ++l)
         d.raw[l] = 0;
 
-    Inst inst = makeInst(Op::VLoad, int(n), vid(dst), sid(addr_dep));
+    Inst &inst = makeInst(Op::VLoad, int(n), vid(dst), sid(addr_dep));
     inst.addAccess(addr, n * eb, false);
     issue(inst);
 }
@@ -460,11 +484,18 @@ Machine::vstore(Addr addr, VReg src, ElemType t, int vl,
     std::uint32_t n = resolveVl(t, vl);
     std::uint32_t eb = elemBytes(t);
     const VecValue &s = _vrf[src.id];
-    for (std::uint32_t l = 0; l < n; ++l)
-        _mem->write(addr + Addr(l) * eb, &s.raw[l], eb);
+    // Narrow each lane to its element, then one move for the span.
+    if (eb == 8) {
+        _mem->write(addr, s.raw.data(), n * eb);
+    } else {
+        std::array<std::uint32_t, MAX_LANES> lanes{};
+        for (std::uint32_t l = 0; l < n; ++l)
+            lanes[l] = std::uint32_t(s.raw[l]);
+        _mem->write(addr, lanes.data(), n * eb);
+    }
 
-    Inst inst = makeInst(Op::VStore, int(n), REG_NONE, vid(src),
-                         sid(addr_dep));
+    Inst &inst = makeInst(Op::VStore, int(n), REG_NONE, vid(src),
+                          sid(addr_dep));
     inst.addAccess(addr, n * eb, true);
     issue(inst);
 }
@@ -477,7 +508,7 @@ Machine::vgather(VReg dst, Addr base, VReg idx, ElemType t, int vl)
     const VecValue &ix = _vrf[idx.id];
     VecValue &d = _vrf[dst.id];
 
-    Inst inst = makeInst(Op::VGather, int(n), vid(dst), vid(idx));
+    Inst &inst = makeInst(Op::VGather, int(n), vid(dst), vid(idx));
     for (std::uint32_t l = 0; l < n; ++l) {
         Addr a = base + Addr(ix.i(l)) * eb;
         std::uint64_t raw = 0;
@@ -500,8 +531,8 @@ Machine::vscatter(Addr base, VReg idx, VReg src, ElemType t, int vl)
     const VecValue &ix = _vrf[idx.id];
     const VecValue &s = _vrf[src.id];
 
-    Inst inst = makeInst(Op::VScatter, int(n), REG_NONE, vid(idx),
-                         vid(src));
+    Inst &inst = makeInst(Op::VScatter, int(n), REG_NONE, vid(idx),
+                          vid(src));
     for (std::uint32_t l = 0; l < n; ++l) {
         Addr a = base + Addr(ix.i(l)) * eb;
         _mem->write(a, &s.raw[l], eb);
@@ -867,8 +898,8 @@ Machine::vidxLoadD(VReg data, VReg idx, int vl_)
     for (std::uint32_t l = 0; l < n; ++l)
         _sspm->writeDirect(std::uint64_t(ix.i(l)), d.raw[l]);
 
-    Inst inst = makeInst(Op::VidxLoadD, int(n), REG_NONE, vid(data),
-                         vid(idx));
+    Inst &inst = makeInst(Op::VidxLoadD, int(n), REG_NONE, vid(data),
+                          vid(idx));
     inst.sspmWrites = std::uint16_t(n);
     issue(inst);
 }
@@ -887,8 +918,8 @@ Machine::vidxLoadC(VReg data, VReg keys, int vl_)
                       _sspm->config().camEntries(), " entries)");
     }
 
-    Inst inst = makeInst(Op::VidxLoadC, int(n), REG_NONE, vid(data),
-                         vid(keys));
+    Inst &inst = makeInst(Op::VidxLoadC, int(n), REG_NONE, vid(data),
+                          vid(keys));
     inst.sspmWrites = std::uint16_t(n);
     inst.camSearches = std::uint16_t(n);
     issue(inst);
@@ -905,7 +936,7 @@ Machine::vidxMov(VReg dst, VReg idx, int vl_)
     for (std::uint32_t l = n; l < MAX_LANES; ++l)
         d.raw[l] = 0;
 
-    Inst inst = makeInst(Op::VidxMov, int(n), vid(dst), vid(idx));
+    Inst &inst = makeInst(Op::VidxMov, int(n), vid(dst), vid(idx));
     inst.sspmReads = std::uint16_t(n);
     issue(inst);
 }
@@ -923,7 +954,7 @@ Machine::vidxKeys(VReg dst, std::uint32_t slot_offset, int vl_)
     for (std::uint32_t l = n; l < MAX_LANES; ++l)
         d.raw[l] = 0;
 
-    Inst inst = makeInst(Op::VidxKeys, int(n), vid(dst), REG_NONE);
+    Inst &inst = makeInst(Op::VidxKeys, int(n), vid(dst), REG_NONE);
     inst.sspmReads = std::uint16_t(n);
     issue(inst);
 }
@@ -941,7 +972,7 @@ Machine::vidxVals(VReg dst, std::uint32_t slot_offset, int vl_)
     for (std::uint32_t l = n; l < MAX_LANES; ++l)
         d.raw[l] = 0;
 
-    Inst inst = makeInst(Op::VidxVals, int(n), vid(dst), REG_NONE);
+    Inst &inst = makeInst(Op::VidxVals, int(n), vid(dst), REG_NONE);
     inst.sspmReads = std::uint16_t(n);
     issue(inst);
 }
@@ -956,9 +987,9 @@ Machine::vidxArithD(Op op, ArithKind k, VReg data, VReg idx,
     const VecValue d = _vrf[data.id];
     const VecValue ix = _vrf[idx.id];
 
-    Inst inst = makeInst(op, int(n),
-                         out == ViaOut::Vrf ? vid(dst) : REG_NONE,
-                         vid(data), vid(idx));
+    Inst &inst = makeInst(op, int(n),
+                          out == ViaOut::Vrf ? vid(dst) : REG_NONE,
+                          vid(data), vid(idx));
     inst.sspmReads = std::uint16_t(n);
 
     if (out == ViaOut::Vrf) {
@@ -1019,9 +1050,9 @@ Machine::vidxArithC(Op op, ArithKind k, VReg data, VReg keys,
     const VecValue d = _vrf[data.id];
     const VecValue ks = _vrf[keys.id];
 
-    Inst inst = makeInst(op, int(n),
-                         out == ViaOut::Vrf ? vid(dst) : REG_NONE,
-                         vid(data), vid(keys));
+    Inst &inst = makeInst(op, int(n),
+                          out == ViaOut::Vrf ? vid(dst) : REG_NONE,
+                          vid(data), vid(keys));
     inst.sspmReads = std::uint16_t(n);
     inst.camSearches = std::uint16_t(n);
 
@@ -1106,8 +1137,8 @@ Machine::vidxBlkMulD(VReg data, VReg idx, std::uint32_t idx_offset,
                            fToRaw(t, acc));
     }
 
-    Inst inst = makeInst(Op::VidxBlkMulD, int(n), REG_NONE,
-                         vid(data), vid(idx));
+    Inst &inst = makeInst(Op::VidxBlkMulD, int(n), REG_NONE,
+                          vid(data), vid(idx));
     inst.sspmReads = std::uint16_t(2 * n);
     inst.sspmWrites = std::uint16_t(n);
     issue(inst);
@@ -1166,7 +1197,7 @@ Machine::ssrPopV(VReg dst, std::uint32_t s, int vl_, int advance)
     std::uint32_t eb = elemBytes(t);
     VecValue &d = _vrf[dst.id];
 
-    Inst inst = makeInst(Op::SsrPopV, int(n), vid(dst), REG_NONE);
+    Inst &inst = makeInst(Op::SsrPopV, int(n), vid(dst), REG_NONE);
     if (st.kind == SsrBackend::Stream::Kind::Affine) {
         Addr a = st.base + Addr(st.cursor) * eb;
         for (std::uint32_t l = 0; l < n; ++l) {
@@ -1214,7 +1245,7 @@ Machine::ssrPopS(SReg dst, std::uint32_t s)
     ElemType t = st.dataType;
     std::uint32_t eb = elemBytes(t);
 
-    Inst inst = makeInst(Op::SsrPopS, 0, sid(dst), REG_NONE);
+    Inst &inst = makeInst(Op::SsrPopS, 0, sid(dst), REG_NONE);
     Addr da;
     if (st.kind == SsrBackend::Stream::Kind::Affine) {
         da = st.base + Addr(st.cursor) * eb;
@@ -1264,7 +1295,7 @@ Machine::ssrFma(VReg acc, std::uint32_t val_s, std::uint32_t idx_s,
 
     // acc is both read and written: name it as a source so the
     // scheduler sees the accumulation chain.
-    Inst inst = makeInst(Op::SsrFma, int(n), vid(acc), vid(acc));
+    Inst &inst = makeInst(Op::SsrFma, int(n), vid(acc), vid(acc));
     Addr va = vs.base + Addr(vs.cursor) * veb;
     inst.addAccess(va, n * veb, false);
     Addr ia = is.idxBase + Addr(is.cursor) * ib;
@@ -1316,8 +1347,8 @@ Machine::vimacF(VReg acc, Addr base, VReg idx, VReg val, int n_)
     const VecValue v = _vrf[val.id];
     VecValue &a = _vrf[acc.id];
 
-    Inst inst = makeInst(Op::VImacF, int(n), vid(acc), vid(idx),
-                         vid(val), vid(acc));
+    Inst &inst = makeInst(Op::VImacF, int(n), vid(acc), vid(idx),
+                          vid(val), vid(acc));
     for (std::uint32_t l = 0; l < n; ++l) {
         Addr da = base + Addr(ix.i(l)) * eb;
         std::uint64_t raw = 0;
@@ -1343,8 +1374,8 @@ Machine::vimacStF(Addr base, VReg idx, VReg val, int n_)
     const VecValue ix = _vrf[idx.id];
     const VecValue v = _vrf[val.id];
 
-    Inst inst = makeInst(Op::VImacStF, int(n), REG_NONE, vid(idx),
-                         vid(val));
+    Inst &inst = makeInst(Op::VImacStF, int(n), REG_NONE, vid(idx),
+                          vid(val));
     // Lanes accumulate in order inside the MAC unit, so duplicate
     // indices combine correctly without software conflict handling.
     for (std::uint32_t l = 0; l < n; ++l) {

@@ -469,9 +469,17 @@ class Machine
             SharedLlc *llc, unsigned core_id);
 
     std::uint32_t resolveVl(ElemType t, int vl) const;
-    Inst makeInst(Op op, int vl, std::int16_t dst, std::int16_t s0,
-                  std::int16_t s1 = REG_NONE,
-                  std::int16_t s2 = REG_NONE);
+
+    /**
+     * Start the next instruction in the machine's one record (see
+     * _inst): resets the header, the access count, the SSPM/CAM
+     * counts and the branch fields, and returns the record for the
+     * emit to fill in. Panics if called while an instruction is
+     * inside issue().
+     */
+    Inst &makeInst(Op op, int vl, std::int16_t dst, std::int16_t s0,
+                   std::int16_t s1 = REG_NONE,
+                   std::int16_t s2 = REG_NONE);
 
     /**
      * Route one emitted instruction: detailed schedule (default) or
@@ -513,6 +521,15 @@ class Machine
     EventQueue _events;
     StatSet _stats;
     SeqNum _seq = 0;
+    /**
+     * The record every emit builds its instruction in, zeroed once
+     * here and reused: makeInst resets all but the access slots, and
+     * consumers read accesses[0, numAccesses) only, so no emit pays
+     * for clearing the slots (DESIGN.md Section 5). It lives from
+     * makeInst to the end of issue(); nothing may keep a reference.
+     */
+    Inst _inst;
+    bool _issuing = false; //!< an instruction is inside issue()
     std::unique_ptr<TraceManager> _trace;
     /** Declared last: detaches from _core before it is destroyed. */
     std::unique_ptr<check::TimingInvariantChecker> _checker;

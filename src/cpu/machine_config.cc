@@ -89,9 +89,9 @@ addMachineOptions(Options &opts)
     const MemSystemParams &mem = d.mem;
 
     opts.addUInt("sspm_kb", 16, "VIA scratchpad (SSPM) size in KB",
-                 1)
+                 1, MAX_SSPM_KB)
         .addUInt("ports", 2, "SSPM ports (element moves per cycle)",
-                 1)
+                 1, MAX_SSPM_PORTS)
         .addUInt("cam_kb", d.via.camBytes / 1024,
                  "VIA CAM capacity in KB", 1)
         .addUInt("cam_bank", d.via.bankEntries,

@@ -28,6 +28,20 @@
 namespace via
 {
 
+/**
+ * Largest ports= value: the FIVU books its SSPM ports through a
+ * Resource, whose per-cycle slots hold fewer than 0x10000 units.
+ */
+inline constexpr std::uint64_t MAX_SSPM_PORTS = 0xffff;
+
+/**
+ * Largest sspm_kb= value: VIA addresses the direct-mapped SSPM with
+ * 32-bit index lanes, which reach at most 2^31 entries of
+ * ViaConfig::valueBytes (4) bytes each, i.e. 8 GiB.
+ */
+inline constexpr std::uint64_t MAX_SSPM_KB =
+    (std::uint64_t(1) << 31) * 4 / 1024;
+
 /** Table I defaults overridden by whatever @p cfg carries. */
 MachineParams machineParamsFrom(const Config &cfg);
 

@@ -52,7 +52,12 @@ struct Inst
     std::array<std::int16_t, MAX_SRCS> src{REG_NONE, REG_NONE,
                                            REG_NONE};
 
-    /** Memory accesses (up to one per lane for gathers/scatters). */
+    /**
+     * Memory accesses (up to one per lane for gathers/scatters).
+     * Only [0, numAccesses) belong to this instruction: the Machine
+     * reuses one record for every emit, so later slots may hold an
+     * older instruction's accesses (DESIGN.md Section 5).
+     */
     std::array<MemAccess, MAX_INST_ACCESSES> accesses{};
     std::uint8_t numAccesses = 0;
 

@@ -65,8 +65,9 @@ Sampler::Sampler(Machine &m, const SampleOptions &opts)
     _m.setExecPolicy(this);
     // The run starts cold: warmup begins immediately, measurement
     // opens when it completes (nextPhase records the commit base).
+    enter(Phase::Warmup);
     if (_opts.warmup == 0) {
-        _phase = Phase::Measure;
+        enter(Phase::Measure);
         _measureStart = _m.core().stats().commitTick;
     }
 }
@@ -92,28 +93,35 @@ Sampler::phaseLen() const
 }
 
 void
+Sampler::enter(Phase p)
+{
+    _phase = p;
+    _phaseLen = phaseLen();
+    _inPhase = 0;
+}
+
+void
 Sampler::nextPhase()
 {
-    _inPhase = 0;
     switch (_phase) {
       case Phase::Warmup:
-        _phase = Phase::Measure;
+        enter(Phase::Measure);
         _measureStart = _m.core().stats().commitTick;
         break;
       case Phase::Measure: {
         Tick now = _m.core().stats().commitTick;
         _cpis.push_back(double(now - _measureStart) /
                         double(_opts.measure));
-        _phase = Phase::FastForward;
+        enter(Phase::FastForward);
         break;
       }
       case Phase::FastForward:
         // New unit: drop the stale schedule (absolute ticks from
         // before the fast-forward) but keep the warmed predictor.
         _m.core().resetTiming(/*keep_predictor=*/true);
-        _phase = Phase::Warmup;
+        enter(Phase::Warmup);
         if (_opts.warmup == 0) {
-            _phase = Phase::Measure;
+            enter(Phase::Measure);
             _measureStart = _m.core().stats().commitTick;
         }
         break;
@@ -128,7 +136,7 @@ Sampler::detailedNext(const Inst &)
     // *after* the window's last instruction went through the core.
     // A zero-length fast-forward phase (interval == warmup+measure)
     // must be skipped entirely, hence the loop.
-    while (_inPhase >= phaseLen())
+    while (_inPhase >= _phaseLen)
         nextPhase();
     ++_inPhase;
     ++_insts;

@@ -108,10 +108,13 @@ class Sampler : public ExecPolicy
 
     std::uint64_t phaseLen() const;
     void nextPhase();
+    /** Enter @p p: reset the in-phase count, cache its length. */
+    void enter(Phase p);
 
     Machine &_m;
     SampleOptions _opts;
     Phase _phase = Phase::Warmup;
+    std::uint64_t _phaseLen = 0; //!< phaseLen() of _phase
     std::uint64_t _inPhase = 0; //!< instructions into current phase
     std::uint64_t _insts = 0;   //!< instructions total
     Tick _measureStart = 0;     //!< commit tick entering measurement

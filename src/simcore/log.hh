@@ -77,12 +77,19 @@ fmtCat(Args &&...args)
 #define via_debug(...) \
     ::via::detail::debugImpl(::via::detail::fmtCat(__VA_ARGS__))
 
-/** Condition-checked panic, in the spirit of gem5's panic_if. */
+/**
+ * Condition-checked panic, in the spirit of gem5's panic_if. The
+ * failure path (message formatting and the panic call) sits in a
+ * cold, never-inlined lambda, so a check costs its hot caller one
+ * compare and branch: small accessors that assert stay inlinable.
+ */
 #define via_assert(cond, ...) \
     do { \
-        if (!(cond)) { \
-            via_panic("assertion '" #cond "' failed: ", \
-                      ::via::detail::fmtCat(__VA_ARGS__)); \
+        if (!(cond)) [[unlikely]] { \
+            [&]() __attribute__((cold, noinline)) { \
+                via_panic("assertion '" #cond "' failed: ", \
+                          ::via::detail::fmtCat(__VA_ARGS__)); \
+            }(); \
         } \
     } while (0)
 

@@ -48,35 +48,6 @@ Sspm::setTrace(TraceManager *trace)
     _indexTable.setTrace(trace);
 }
 
-void
-Sspm::checkIdx(std::uint64_t idx) const
-{
-    via_assert(idx < _sram.size(), "SSPM index ", idx,
-               " out of range (", _sram.size(), " entries); the "
-               "kernel must tile its working set to the scratchpad");
-}
-
-void
-Sspm::writeDirect(std::uint64_t idx, std::uint64_t raw)
-{
-    checkIdx(idx);
-    ++_stats.directWrites;
-    _sram[idx] = raw;
-    _valid[idx] = true;
-}
-
-std::uint64_t
-Sspm::readDirect(std::uint64_t idx)
-{
-    checkIdx(idx);
-    ++_stats.directReads;
-    if (!_valid[idx]) {
-        ++_stats.invalidReads;
-        return 0;
-    }
-    return _sram[idx];
-}
-
 bool
 Sspm::validAt(std::uint64_t idx) const
 {

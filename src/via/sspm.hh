@@ -23,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "simcore/log.hh"
 #include "via/index_table.hh"
 #include "via/via_config.hh"
 
@@ -57,10 +58,27 @@ class Sspm
     // --- direct-mapped mode -------------------------------------
 
     /** Write one value; sets the valid bit. */
-    void writeDirect(std::uint64_t idx, std::uint64_t raw);
+    void
+    writeDirect(std::uint64_t idx, std::uint64_t raw)
+    {
+        checkIdx(idx);
+        ++_stats.directWrites;
+        _sram[idx] = raw;
+        _valid[idx] = true;
+    }
 
     /** Read one value; unwritten entries read as zero. */
-    std::uint64_t readDirect(std::uint64_t idx);
+    std::uint64_t
+    readDirect(std::uint64_t idx)
+    {
+        checkIdx(idx);
+        ++_stats.directReads;
+        if (!_valid[idx]) {
+            ++_stats.invalidReads;
+            return 0;
+        }
+        return _sram[idx];
+    }
 
     /** True if the entry has been written since the last clear. */
     bool validAt(std::uint64_t idx) const;
@@ -148,7 +166,16 @@ class Sspm
     void setTrace(TraceManager *trace);
 
   private:
-    void checkIdx(std::uint64_t idx) const;
+    /** Panic unless @p idx addresses an SRAM entry (the panic path
+     *  is out of line: see via_assert). */
+    void
+    checkIdx(std::uint64_t idx) const
+    {
+        via_assert(idx < _sram.size(), "SSPM index ", idx,
+                   " out of range (", _sram.size(), " entries); the "
+                   "kernel must tile its working set to the "
+                   "scratchpad");
+    }
 
     ViaConfig _config;
     std::vector<std::uint64_t> _sram;

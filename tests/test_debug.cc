@@ -315,6 +315,62 @@ TEST(DebugSession, CheckpointRewindReplaysBitIdentical)
     EXPECT_EQ(plain, rewound);
 }
 
+TEST(DebugSession, AddrWatchStopsOnlyOnTheInstructionThatTouched)
+{
+    // The Machine builds every instruction in one reused record, so
+    // the access slots of a store are still there, past numAccesses,
+    // when the next instruction (with no access) commits. The watch
+    // must stop on the instructions that touched the window, never
+    // on the one after.
+    const Addr watched = 0x40000;
+    debug::TargetFactory factory = [] {
+        debug::DebugTarget t;
+        t.machine = std::make_unique<Machine>(MachineParams{});
+        return t;
+    };
+    debug::KernelFn kfn = [watched](debug::DebugTarget &t) {
+        Machine &m = *t.machine;
+        const SReg s0{0};
+        const VReg v0{0}, v1{1};
+        m.simm(s0, 7);                               // inst 1
+        m.vbroadcastI(v1, 1);                        // inst 2
+        m.vstore(watched, v1, ElemType::I32);        // inst 3: hit
+        m.salu(s0, 8, s0);                           // inst 4
+        m.vload(v0, watched + 4096, ElemType::I32);  // inst 5
+        m.sload(s0, watched + 8, 4);                 // inst 6: hit
+        m.sbranch(s0);                               // inst 7
+        m.sstore(watched - 8, s0, 8);                // inst 8
+        return true;
+    };
+
+    std::istringstream in("watch addr 0x40000 32\n"
+                          "continue\n"
+                          "continue\n"
+                          "continue\n");
+    std::ostringstream out;
+    debug::SessionConfig scfg;
+    scfg.commands = &in;
+    scfg.out = &out;
+    debug::DebugSession session(std::move(factory), std::move(kfn),
+                                scfg);
+    ASSERT_EQ(session.run(), 0) << out.str();
+
+    std::vector<std::string> stops;
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line))
+        if (line.rfind("stopped:", 0) == 0)
+            stops.push_back(line);
+    ASSERT_EQ(stops.size(), 2u) << out.str();
+    EXPECT_NE(stops[0].find("watchpoint 1"), std::string::npos);
+    EXPECT_NE(stops[0].find(" at inst 3 "), std::string::npos)
+        << stops[0];
+    EXPECT_NE(stops[0].find("(vst)"), std::string::npos) << stops[0];
+    EXPECT_NE(stops[1].find(" at inst 6 "), std::string::npos)
+        << stops[1];
+    EXPECT_NE(stops[1].find("(sld)"), std::string::npos) << stops[1];
+}
+
 // ------------------------------------------------------------------
 // Streaming generators.
 // ------------------------------------------------------------------

@@ -1,12 +1,19 @@
 /**
  * @file
  * Functional semantics of the simulated ISA through the Machine
- * facade: every vector/scalar/VIA operation.
+ * facade: every vector/scalar/VIA operation, and the contract of the
+ * one instruction record the Machine reuses for every emit: each
+ * consumer sees exactly the instruction's own accesses, SSPM counts
+ * and branch fields, on the detailed and the functional path.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cpu/machine.hh"
+#include "sample/functional.hh"
+#include "simcore/rng.hh"
 #include "sparse/sparse_types.hh"
 
 namespace via
@@ -355,6 +362,330 @@ TEST_F(MachineIsa, VidxClearSegmentKeepsOtherRegion)
     m.vidxMov(v2, v1);
     EXPECT_FLOAT_EQ(m.vreg(v2).f32(0), 0.0f);
     EXPECT_FLOAT_EQ(m.vreg(v2).f32(4), 5.0f);
+}
+
+// ---------------- vload/vstore against a lane-by-lane reference ---
+
+/** Lane-by-lane vload as the ISA defines it: lane l holds the element
+ *  at addr + l * elemBytes(t), I32 sign-extends, F32 zero-extends,
+ *  lanes from @p n up read zero. */
+VecValue
+laneLoad(const BackingStore &mem, Addr addr, ElemType t,
+         std::uint32_t n)
+{
+    VecValue v;
+    const std::uint32_t eb = elemBytes(t);
+    for (std::uint32_t l = 0; l < n; ++l) {
+        std::uint64_t raw = 0;
+        mem.read(addr + Addr(l) * eb, &raw, eb);
+        if (t == ElemType::I32)
+            raw = std::uint64_t(std::int64_t(std::int32_t(raw)));
+        v.raw[l] = raw;
+    }
+    return v;
+}
+
+/** Random bytes over [lo, lo + bytes) of both stores. */
+void
+fillRandom(Rng &rng, Addr lo, std::size_t bytes, BackingStore &a,
+           BackingStore &b)
+{
+    for (std::size_t i = 0; i < bytes; ++i) {
+        auto byte = std::uint8_t(rng.next());
+        a.write(lo + i, &byte, 1);
+        b.write(lo + i, &byte, 1);
+    }
+}
+
+TEST_F(MachineIsa, VectorMovesMatchLaneByLaneReference)
+{
+    // One span starts well inside a 64 KiB BackingStore page; the
+    // other starts 10 bytes before a page boundary, so (for 4- and
+    // 8-byte elements alike) one lane straddles it and the rest land
+    // on the next page.
+    const Addr inside = 3 * BackingStore::pageBytes + 0x100;
+    const Addr crossing = 5 * BackingStore::pageBytes - 10;
+    Rng rng(17);
+    for (ElemType t : {ElemType::I32, ElemType::F32, ElemType::F64}) {
+        const std::uint32_t lanes = lanesFor(t);
+        for (Addr addr : {inside, crossing}) {
+            for (std::uint32_t n : {lanes, lanes - 1, 3u, 1u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "elem bytes " << elemBytes(t)
+                             << " addr 0x" << std::hex << addr
+                             << std::dec << " vl " << n);
+                BackingStore ref;
+                const Addr lo = addr - 16;
+                const std::size_t span = 16 + 32 + 16;
+                fillRandom(rng, lo, span, m.mem(), ref);
+
+                // vload: every lane, sign extension and a zero tail
+                // over a register holding garbage.
+                for (std::uint32_t l = 0; l < MAX_LANES; ++l)
+                    m.vreg(v0).raw[l] = rng.next();
+                m.vload(v0, addr, t, int(n));
+                VecValue want = laneLoad(ref, addr, t, n);
+                for (std::uint32_t l = 0; l < MAX_LANES; ++l)
+                    EXPECT_EQ(m.vreg(v0).raw[l], want.raw[l])
+                        << "lane " << l;
+
+                // vstore: each lane narrowed to its element, nothing
+                // written outside [addr, addr + n * eb).
+                for (std::uint32_t l = 0; l < MAX_LANES; ++l)
+                    m.vreg(v1).raw[l] = rng.next();
+                m.vstore(addr, v1, t, int(n));
+                const std::uint32_t eb = elemBytes(t);
+                for (std::uint32_t l = 0; l < n; ++l)
+                    ref.write(addr + Addr(l) * eb, &m.vreg(v1).raw[l],
+                              eb);
+                for (std::size_t i = 0; i < span; ++i)
+                    EXPECT_EQ(m.mem().load<std::uint8_t>(lo + i),
+                              ref.load<std::uint8_t>(lo + i))
+                        << "byte " << i;
+            }
+        }
+    }
+}
+
+// ---------------- the reused instruction record ------------------
+
+/** What a consumer saw of one instruction. */
+struct Seen
+{
+    Op op = Op::Nop;
+    std::vector<MemAccess> accesses;
+    std::uint16_t sspmReads = 0;
+    std::uint16_t sspmWrites = 0;
+    std::uint16_t camSearches = 0;
+    bool isDataBranch = false;
+    bool branchTaken = false;
+    std::uint32_t branchSite = 0;
+};
+
+Seen
+seen(const Inst &inst)
+{
+    Seen s;
+    s.op = inst.op;
+    for (std::uint8_t a = 0; a < inst.numAccesses; ++a)
+        s.accesses.push_back(inst.accesses[a]);
+    s.sspmReads = inst.sspmReads;
+    s.sspmWrites = inst.sspmWrites;
+    s.camSearches = inst.camSearches;
+    s.isDataBranch = inst.isDataBranch;
+    s.branchTaken = inst.branchTaken;
+    s.branchSite = inst.branchSite;
+    return s;
+}
+
+void
+expectSame(const Seen &got, const Seen &want)
+{
+    EXPECT_EQ(got.op, want.op);
+    ASSERT_EQ(got.accesses.size(), want.accesses.size());
+    for (std::size_t a = 0; a < want.accesses.size(); ++a) {
+        EXPECT_EQ(got.accesses[a].addr, want.accesses[a].addr);
+        EXPECT_EQ(got.accesses[a].bytes, want.accesses[a].bytes);
+        EXPECT_EQ(got.accesses[a].isWrite, want.accesses[a].isWrite);
+    }
+    EXPECT_EQ(got.sspmReads, want.sspmReads);
+    EXPECT_EQ(got.sspmWrites, want.sspmWrites);
+    EXPECT_EQ(got.camSearches, want.camSearches);
+    EXPECT_EQ(got.isDataBranch, want.isDataBranch);
+    EXPECT_EQ(got.branchTaken, want.branchTaken);
+    EXPECT_EQ(got.branchSite, want.branchSite);
+}
+
+/**
+ * Routes each instruction by a fixed pattern and records what the
+ * policy, the core's timing observer and the functional executor
+ * each saw of it.
+ */
+class RecordingRoute : public ExecPolicy, public TimingObserver
+{
+  public:
+    RecordingRoute(Machine &m, std::vector<bool> detailed)
+        : _m(m), _detailed(std::move(detailed))
+    {
+        _m.setExecPolicy(this);
+        _m.core().addTimingObserver(this);
+    }
+    ~RecordingRoute() override
+    {
+        _m.setExecPolicy(nullptr);
+        _m.core().removeTimingObserver(this);
+    }
+    RecordingRoute(const RecordingRoute &) = delete;
+    RecordingRoute &operator=(const RecordingRoute &) = delete;
+
+    bool
+    detailedNext(const Inst &inst) override
+    {
+        atPolicy.push_back(seen(inst));
+        bool d = _detailed[atPolicy.size() - 1];
+        if (!d) {
+            // The executor runs right after this returns; the next
+            // record() call reads its counters' growth.
+            _funcBefore = _m.functional().stats();
+            _pendingFunctional = true;
+        }
+        return d;
+    }
+
+    void
+    onInstTiming(const Inst &inst, const InstTiming &) override
+    {
+        atCore.push_back(seen(inst));
+    }
+    void onTimingReset() override {}
+
+    /** Call after each emit: logs the executor's per-inst growth. */
+    void
+    record()
+    {
+        if (!_pendingFunctional)
+            return;
+        _pendingFunctional = false;
+        const sample::FunctionalStats &now = _m.functional().stats();
+        funcAccesses.push_back(now.memAccesses -
+                               _funcBefore.memAccesses);
+        funcBranches.push_back(now.branches - _funcBefore.branches);
+    }
+
+    std::vector<Seen> atPolicy, atCore;
+    std::vector<std::uint64_t> funcAccesses, funcBranches;
+
+  private:
+    Machine &_m;
+    std::vector<bool> _detailed;
+    sample::FunctionalStats _funcBefore;
+    bool _pendingFunctional = false;
+};
+
+/**
+ * Emit a gather, two VIA ops, a scalar ALU op, a vload, a data
+ * branch, a loop branch and a scalar store — each differing from
+ * its predecessor in the fields the record carries — routing them
+ * by @p detailed, and check every consumer saw each instruction's
+ * own fields and nothing left over from the one before.
+ */
+void
+checkRecordIsolation(const std::vector<bool> &detailed)
+{
+    Machine m(MachineParams{});
+    VReg v0{0}, v1{1}, v2{2}, v3{3};
+    SReg s0{0};
+    const Addr table = m.mem().alloc(256);
+    const Addr vec = m.mem().alloc(64);
+    for (std::uint32_t l = 0; l < MAX_LANES; ++l) {
+        m.vreg(v0).setF32(l, float(l));
+        m.vreg(v1).setI(l, std::int64_t(3 * l));
+    }
+
+    std::vector<Seen> want(8);
+    want[0].op = Op::VGather;
+    for (std::uint32_t l = 0; l < MAX_LANES; ++l)
+        want[0].accesses.push_back({table + Addr(12 * l), 4, false});
+    want[1].op = Op::VidxAddD;
+    want[1].sspmReads = 8;
+    want[1].sspmWrites = 8;
+    want[2].op = Op::VidxLoadC;
+    want[2].sspmWrites = 8;
+    want[2].camSearches = 8;
+    want[3].op = Op::SAlu;
+    want[4].op = Op::VLoad;
+    want[4].accesses.push_back({vec, 5 * 4, false});
+    want[5].op = Op::SBranch;
+    want[5].isDataBranch = true;
+    want[5].branchTaken = true;
+    want[5].branchSite = 77;
+    want[6].op = Op::SBranch;
+    want[7].op = Op::SStore;
+    want[7].accesses.push_back({vec + 32, 4, true});
+
+    RecordingRoute route(m, detailed);
+    m.vgather(v2, table, v1, ElemType::F32);
+    route.record();
+    m.vidxAddD(v0, v1, ViaOut::Sspm, v3, 0);
+    route.record();
+    m.vidxLoadC(v0, v1);
+    route.record();
+    m.salu(s0, 5);
+    route.record();
+    m.vload(v2, vec, ElemType::F32, 5);
+    route.record();
+    m.sbranchData(s0, 77, true);
+    route.record();
+    m.sbranch(s0);
+    route.record();
+    m.sstore(vec + 32, s0, 4);
+    route.record();
+
+    ASSERT_EQ(route.atPolicy.size(), want.size());
+    std::size_t core = 0, func = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "instruction " << i);
+        expectSame(route.atPolicy[i], want[i]);
+        if (detailed[i]) {
+            ASSERT_LT(core, route.atCore.size());
+            expectSame(route.atCore[core++], want[i]);
+        } else {
+            ASSERT_LT(func, route.funcAccesses.size());
+            EXPECT_EQ(route.funcAccesses[func],
+                      want[i].accesses.size());
+            EXPECT_EQ(route.funcBranches[func],
+                      want[i].isDataBranch ? 1u : 0u);
+            ++func;
+        }
+    }
+    EXPECT_EQ(core, route.atCore.size());
+    EXPECT_EQ(func, route.funcAccesses.size());
+}
+
+TEST(MachineRecord, DetailedPathSeesOnlyEachInstsOwnFields)
+{
+    checkRecordIsolation(std::vector<bool>(8, true));
+}
+
+TEST(MachineRecord, FunctionalPathSeesOnlyEachInstsOwnFields)
+{
+    checkRecordIsolation(std::vector<bool>(8, false));
+}
+
+TEST(MachineRecord, AlternatingPathsSeeOnlyEachInstsOwnFields)
+{
+    checkRecordIsolation(
+        {true, false, true, false, true, false, true, false});
+    checkRecordIsolation(
+        {false, true, false, true, false, true, false, true});
+}
+
+/** An emit from inside issue() would overwrite the record in use. */
+class EmitFromObserver : public TimingObserver
+{
+  public:
+    explicit EmitFromObserver(Machine &m) : _m(m) {}
+    void
+    onInstTiming(const Inst &, const InstTiming &) override
+    {
+        _m.simm(SReg{1}, 1);
+    }
+    void onTimingReset() override {}
+
+  private:
+    Machine &_m;
+};
+
+TEST(MachineRecordDeathTest, EmitInsideIssuePanics)
+{
+    EXPECT_DEATH(
+        {
+            Machine m(MachineParams{});
+            EmitFromObserver obs(m);
+            m.core().addTimingObserver(&obs);
+            m.simm(SReg{0}, 1);
+        },
+        "instruction built while salu is inside issue");
 }
 
 TEST_F(MachineIsa, CyclesAdvanceMonotonically)

@@ -431,6 +431,81 @@ TEST(Sampling, EstimateWithinAuditBound)
     EXPECT_FALSE(audit.exact);
 }
 
+/**
+ * Feed @p insts instructions straight to a Sampler and return its
+ * detailed (true) / functional (false) decision for each; the
+ * number of closed measurement windows goes to @p windows.
+ */
+std::vector<bool>
+samplerDecisions(const sample::SampleOptions &opts,
+                 std::uint64_t insts, std::uint64_t &windows)
+{
+    Machine m(MachineParams{});
+    sample::Sampler sampler(m, opts);
+    Inst inst;
+    std::vector<bool> out;
+    out.reserve(insts);
+    for (std::uint64_t i = 0; i < insts; ++i)
+        out.push_back(sampler.detailedNext(inst));
+    windows = sampler.estimate().intervals;
+    return out;
+}
+
+/**
+ * The sampling schedule as a plain counter: instruction i is
+ * detailed exactly when i mod interval < warmup + measure, and a
+ * unit's measurement window closes when the instruction after it
+ * arrives.
+ */
+void
+expectReferenceSchedule(const sample::SampleOptions &opts,
+                        std::uint64_t insts)
+{
+    std::uint64_t windows = 0;
+    std::vector<bool> got = samplerDecisions(opts, insts, windows);
+    std::uint64_t detailed_len = opts.warmup + opts.measure;
+    std::uint64_t want_windows = 0;
+    for (std::uint64_t i = 0; i < insts; ++i) {
+        std::uint64_t pos = i % opts.interval;
+        ASSERT_EQ(got[i], pos < detailed_len) << "instruction " << i;
+        if (pos == detailed_len % opts.interval && i >= detailed_len)
+            ++want_windows;
+    }
+    EXPECT_EQ(windows, want_windows);
+}
+
+TEST(Sampling, DecisionsFollowTheReferenceCounter)
+{
+    sample::SampleOptions opts; // 100000 / 2000 / 3000
+    opts.mode = sample::SimMode::Sampled;
+    expectReferenceSchedule(opts, 250000);
+
+    // No warmup: each unit opens with its measurement window.
+    opts.interval = 100;
+    opts.warmup = 0;
+    opts.measure = 30;
+    expectReferenceSchedule(opts, 1050);
+
+    // interval == warmup + measure: a zero-length fast-forward,
+    // skipped without a functional instruction.
+    opts.interval = 50;
+    opts.warmup = 20;
+    opts.measure = 30;
+    expectReferenceSchedule(opts, 1001);
+
+    // Both at once: every unit is one measurement window.
+    opts.interval = 7;
+    opts.warmup = 0;
+    opts.measure = 7;
+    expectReferenceSchedule(opts, 100);
+
+    // One-instruction phases.
+    opts.interval = 3;
+    opts.warmup = 1;
+    opts.measure = 1;
+    expectReferenceSchedule(opts, 100);
+}
+
 TEST(Sampling, OptionValidation)
 {
     Config cfg;

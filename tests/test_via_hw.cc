@@ -171,6 +171,20 @@ TEST(SspmDeathTest, OutOfRangeIndexPanics)
     EXPECT_DEATH(s.readDirect(1000), "out of range");
 }
 
+TEST(SspmDeathTest, OutOfRangeMessageIsTheBoundsAssertion)
+{
+    // The direct-mode accessors are inline, with the bounds check's
+    // panic out of line; the abort message is unchanged, in full.
+    const char *msg =
+        "panic: assertion 'idx < _sram.size\\(\\)' failed: SSPM "
+        "index 64 out of range \\(64 entries\\); the kernel must "
+        "tile its working set to the scratchpad\n";
+    Sspm s(tinyConfig());
+    EXPECT_DEATH(s.writeDirect(64, 0), msg);
+    EXPECT_DEATH(s.readDirect(64), msg);
+    EXPECT_DEATH(s.validAt(64), msg);
+}
+
 TEST(SspmDeathTest, CamLargerThanSramRejected)
 {
     ViaConfig cfg = tinyConfig();

@@ -32,6 +32,11 @@
  *              variants on an N-core machine (docs/multicore.md);
  *              the partition policy alternates with seed parity
  *              (even = static, odd = steal)
+ *   mode=M     detailed|functional|sampled (default detailed):
+ *              how each single-core run executes; sampled uses a
+ *              64-instruction interval so the detailed and
+ *              functional paths alternate inside every run.
+ *              Non-detailed modes need cores=1.
  *   verbose=1  per-seed progress on stderr
  *   inject=1   self-test: perturb a cache counter after each run so
  *              the checker must catch it and print the replay seed
@@ -68,6 +73,8 @@ main(int argc, char **argv)
                  "also fuzz the parallel kernels on an N-core "
                  "machine (1 = single-core only)",
                  1, 32)
+        .addString("mode", "detailed",
+                   "run mode: detailed|functional|sampled")
         .addFlag("verbose", "per-seed progress on stderr")
         .addFlag("inject",
                  "self-test: corrupt a cache counter after each "
@@ -106,6 +113,22 @@ main(int argc, char **argv)
         return 2;
     }
 
+    const std::string mode = args.getString("mode");
+    if (mode != "detailed" && mode != "functional" && mode != "sampled") {
+        std::fprintf(stderr,
+                     "via_fuzz: unknown mode '%s' (expected "
+                     "detailed|functional|sampled)\n",
+                     mode.c_str());
+        return 2;
+    }
+    opts.mode = sample::modeFromString(mode);
+    if (opts.cores > 1 && opts.mode != sample::SimMode::Detailed) {
+        std::fprintf(stderr,
+                     "via_fuzz: mode=%s is single-core; drop cores=\n",
+                     mode.c_str());
+        return 2;
+    }
+
     if (args.getBool("inject")) {
         // Deliberately corrupt a cache counter after each kernel
         // run: the invariant checker must flag every run and print
@@ -123,5 +146,13 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(stats.kernelRuns),
                 static_cast<unsigned long long>(stats.skipped),
                 static_cast<unsigned long long>(stats.failures));
+    if (opts.mode != sample::SimMode::Detailed)
+        std::printf("via_fuzz: mode=%s, %llu detailed + %llu "
+                    "functional single-core instructions\n",
+                    mode.c_str(),
+                    static_cast<unsigned long long>(
+                        stats.detailedInsts),
+                    static_cast<unsigned long long>(
+                        stats.functionalInsts));
     return stats.failures == 0 ? 0 : 1;
 }

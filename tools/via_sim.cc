@@ -498,11 +498,12 @@ struct SweepPoint
 };
 
 /**
- * A comma list of positive integers (sweep_kb=, sweep_ports=): each
- * entry must pass the same lower bound of 1 as sspm_kb= and ports=.
+ * A comma list of integers in [1, max] (sweep_kb=, sweep_ports=):
+ * each entry must pass the same bounds as sspm_kb= and ports=.
  */
 bool
-parseU64List(const std::string &text, std::vector<std::uint64_t> &out)
+parseU64List(const std::string &text, std::uint64_t max,
+             std::vector<std::uint64_t> &out)
 {
     std::stringstream ss(text);
     std::string item;
@@ -512,7 +513,7 @@ parseU64List(const std::string &text, std::vector<std::uint64_t> &out)
         std::uint64_t v = 0;
         const char *end = item.data() + item.size();
         auto [ptr, ec] = std::from_chars(item.data(), end, v);
-        if (ec != std::errc() || ptr != end || v == 0)
+        if (ec != std::errc() || ptr != end || v == 0 || v > max)
             return false;
         out.push_back(v);
     }
@@ -649,9 +650,9 @@ main(int argc, char **argv)
         const std::string kb_text = cfg.getString("sweep_kb", "4,8,16");
         const std::string port_text =
             cfg.getString("sweep_ports", "2,4");
-        if (!parseU64List(kb_text, kbs))
+        if (!parseU64List(kb_text, MAX_SSPM_KB, kbs))
             return usage("bad sweep_kb list '" + kb_text + "'");
-        if (!parseU64List(port_text, ports))
+        if (!parseU64List(port_text, MAX_SSPM_PORTS, ports))
             return usage("bad sweep_ports list '" + port_text + "'");
         for (std::uint64_t kb : kbs)
             for (std::uint64_t p : ports) {
