@@ -13,8 +13,16 @@ machineParamsFrom(const Config &cfg)
     p.via = ViaConfig::make(
         cfg.getUInt("sspm_kb", 16),
         std::uint32_t(cfg.getUInt("ports", 2)));
-    if (cfg.has("cam_kb"))
+    if (cfg.has("cam_kb")) {
         p.via.camBytes = cfg.getUInt("cam_kb", 4) * 1024;
+        // The CAM tracks SSPM entries: it cannot hold more of them
+        // than the SRAM has.
+        if (p.via.camEntries() > p.via.sramEntries())
+            via_usage("cam_kb=", p.via.camBytes / 1024,
+                      " exceeds sspm_kb=", p.via.sspmBytes / 1024,
+                      " (the CAM cannot track more entries than the "
+                      "SSPM holds)");
+    }
     p.via.bankEntries =
         std::uint32_t(cfg.getUInt("cam_bank", p.via.bankEntries));
 
@@ -93,7 +101,8 @@ addMachineOptions(Options &opts)
         .addUInt("ports", 2, "SSPM ports (element moves per cycle)",
                  1, MAX_SSPM_PORTS)
         .addUInt("cam_kb", d.via.camBytes / 1024,
-                 "VIA CAM capacity in KB", 1)
+                 "VIA CAM capacity in KB (at most sspm_kb)", 1,
+                 MAX_CAM_KB)
         .addUInt("cam_bank", d.via.bankEntries,
                  "CAM entries compared per bank access", 1)
         .addUInt("rob", core.robSize, "reorder-buffer entries", 1)

@@ -42,7 +42,19 @@ inline constexpr std::uint64_t MAX_SSPM_PORTS = 0xffff;
 inline constexpr std::uint64_t MAX_SSPM_KB =
     (std::uint64_t(1) << 31) * 4 / 1024;
 
-/** Table I defaults overridden by whatever @p cfg carries. */
+/**
+ * Largest cam_kb= value: the CAM index table counts its entries
+ * (ViaConfig::keyBytes, 4 bytes each) in a std::uint32_t. sspm_kb=
+ * caps the CAM lower still; MAX_CAM_KB only keeps the KB-to-byte
+ * product from wrapping before that check runs.
+ */
+inline constexpr std::uint64_t MAX_CAM_KB =
+    std::uint64_t(0xffffffffu) * 4 / 1024;
+
+/**
+ * Table I defaults overridden by whatever @p cfg carries. A cam_kb=
+ * larger than sspm_kb= is a usage error (exit 2).
+ */
 MachineParams machineParamsFrom(const Config &cfg);
 
 /**

@@ -9,6 +9,33 @@
 namespace via
 {
 
+namespace
+{
+
+/**
+ * In the ascending vector @p v, replace one element equal to
+ * @p old with @p add, keeping the order: only the elements between
+ * the two positions shift, by one slot.
+ */
+void
+replaceSorted(std::vector<Tick> &v, Tick old, Tick add)
+{
+    auto pos = std::lower_bound(v.begin(), v.end(), old);
+    via_assert(pos != v.end() && *pos == old, "fill completion ", old,
+               " missing from the sorted mirror");
+    if (add > old) {
+        auto ins = std::upper_bound(pos + 1, v.end(), add);
+        std::move(pos + 1, ins, pos);
+        *(ins - 1) = add;
+    } else {
+        auto ins = std::upper_bound(v.begin(), pos, add);
+        std::move_backward(ins, pos, pos + 1);
+        *ins = add;
+    }
+}
+
+} // namespace
+
 Cache::Cache(const CacheParams &params)
     : _params(params)
 {
@@ -140,11 +167,7 @@ Cache::flush()
 {
     for (auto &line : _lines)
         line = Line{};
-    _inflight.clear();
-    _inflightHorizon = 0;
-    std::fill(_mshrBusyUntil.begin(), _mshrBusyUntil.end(), Tick(0));
-    _recentFills.clear();
-    _fillNext = 0;
+    resetTiming();
 }
 
 bool
@@ -183,10 +206,18 @@ Cache::mshrFreeAt(Tick when) const
 {
     const std::size_t cap = _mshrBusyUntil.size();
     // A fill occupies an MSHR over [issue, complete): an interval
-    // booked entirely in the future holds no slot at `when`. The
-    // ring is bounded (4 x cap), so the scan is cheap.
-    std::vector<Tick> live;
-    live.reserve(cap);
+    // booked entirely in the future holds no slot at `when`. Every
+    // live span completes after `when`, so when fewer than `cap`
+    // ring completions lie after it — the cap-th latest is not —
+    // fewer than `cap` spans can be live and the answer is `when`.
+    const std::size_t n = _fillCompletes.size();
+    if (n < cap || _fillCompletes[n - cap] <= when)
+        return when;
+    // At least `cap` completions lie ahead: count the live spans.
+    // The scratch buffer holds the whole ring (reserved with it),
+    // so the scan never allocates.
+    std::vector<Tick> &live = _liveScratch;
+    live.clear();
     for (const auto &f : _recentFills)
         if (f.issue <= when && when < f.complete)
             live.push_back(f.complete);
@@ -228,20 +259,8 @@ Cache::mshrReserve(Addr line_addr, Tick complete, Tick stall,
         _inflightHorizon = complete;
     _stats.mshrStallCycles += stall;
 
-    // Record the occupancy interval for mshrFreeAt(Tick). The ring
-    // overwrites oldest-first; fills evicted while still live make
-    // the query optimistic, never more conservative.
-    if (_trackFills) {
-        if (_recentFills.empty())
-            _recentFills.reserve(4 * n);
-        FillSpan span{std::min(issue, complete), complete};
-        if (_recentFills.size() < 4 * n) {
-            _recentFills.push_back(span);
-        } else {
-            _recentFills[_fillNext] = span;
-            _fillNext = (_fillNext + 1) % _recentFills.size();
-        }
-    }
+    if (_trackFills)
+        recordFillSpan(std::min(issue, complete), complete);
 
     if (_trace != nullptr && _trace->enabled()) {
         TraceEvent ev;
@@ -256,6 +275,35 @@ Cache::mshrReserve(Addr line_addr, Tick complete, Tick stall,
     // Bound the inflight map: drop entries that completed long ago.
     if (_inflight.size() > 4 * _mshrBusyUntil.size())
         pruneInflight(mshrFreeAt());
+}
+
+void
+Cache::recordFillSpan(Tick issue, Tick complete)
+{
+    // The ring overwrites oldest-first; fills evicted while still
+    // live make the query optimistic, never more conservative.
+    // _fillCompletes mirrors the ring's completions in ascending
+    // order, for the query's constant-time early out.
+    const std::size_t ring = 4 * _mshrBusyUntil.size();
+    if (_recentFills.empty()) {
+        _recentFills.reserve(ring);
+        _fillCompletes.reserve(ring);
+        _liveScratch.reserve(ring);
+    }
+    if (_recentFills.size() < ring) {
+        _recentFills.push_back(FillSpan{issue, complete});
+        _fillCompletes.insert(std::upper_bound(_fillCompletes.begin(),
+                                               _fillCompletes.end(),
+                                               complete),
+                              complete);
+    } else {
+        replaceSorted(_fillCompletes, _recentFills[_fillNext].complete,
+                      complete);
+        _recentFills[_fillNext] = FillSpan{issue, complete};
+        _fillNext = (_fillNext + 1) % ring;
+    }
+    via_assert(_fillCompletes.size() == _recentFills.size(),
+               "sorted fill mirror out of step with the ring");
 }
 
 void
@@ -276,6 +324,7 @@ Cache::resetTiming()
     _inflightHorizon = 0;
     std::fill(_mshrBusyUntil.begin(), _mshrBusyUntil.end(), Tick(0));
     _recentFills.clear();
+    _fillCompletes.clear();
     _fillNext = 0;
 }
 

@@ -175,6 +175,9 @@ class Cache
      * at an earlier tick would be gated behind them even though at
      * its tick most MSHRs are genuinely free. Counting the fills
      * actually in flight at @p when is booking-order-independent.
+     * Constant time while fewer than `mshrs` recorded fills
+     * complete after @p when (the common case); only otherwise a
+     * scan of the recorded fills. Never allocates.
      * Requires trackFillSpans(true).
      */
     Tick mshrFreeAt(Tick when) const;
@@ -246,6 +249,14 @@ class Cache
         return std::size_t(line % _numSets);
     }
 
+    /**
+     * Append one fill interval to the mshrFreeAt(Tick) ring (shared
+     * LLC only; out of line so private caches' mshrReserve stays
+     * small).
+     */
+    __attribute__((noinline)) void recordFillSpan(Tick issue,
+                                                  Tick complete);
+
     /** Drop in-flight entries whose fills completed by @p horizon. */
     void pruneInflight(Tick horizon);
 
@@ -286,6 +297,10 @@ class Cache
         Tick complete = 0;
     };
     std::vector<FillSpan> _recentFills;
+    /** The ring's completion ticks, ascending (same multiset). */
+    std::vector<Tick> _fillCompletes;
+    /** mshrFreeAt(Tick)'s live-span buffer, reserved with the ring. */
+    mutable std::vector<Tick> _liveScratch;
     std::size_t _fillNext = 0;
     bool _trackFills = false;
     /** Completion times occupying MSHR slots (a min-heap). */

@@ -102,16 +102,18 @@ SharedLlc::coherenceActions(unsigned core, Addr line_addr,
 void
 SharedLlc::backInvalidate(Addr line_addr)
 {
-    auto it = _dir.find(line_addr);
-    if (it == _dir.end())
+    // A reset entry is indistinguishable from an absent one, so the
+    // directory never erases (see LineDirectory).
+    DirEntry *e = _dir.find(line_addr);
+    if (e == nullptr)
         return;
-    std::uint32_t sharers = it->second.sharers;
+    std::uint32_t sharers = e->sharers;
     for (unsigned c = 0; sharers != 0; ++c, sharers >>= 1)
         if (sharers & 1) {
             invalidatePrivate(c, line_addr);
             ++_stats.invalidations;
         }
-    _dir.erase(it);
+    *e = DirEntry{};
 }
 
 Tick

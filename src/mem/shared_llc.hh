@@ -29,11 +29,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/line_directory.hh"
 #include "mem/mem_system.hh"
 #include "mem/mem_types.hh"
 #include "simcore/resource.hh"
@@ -136,13 +136,6 @@ class SharedLlc
     std::uint32_t bankOf(Addr line_addr) const;
 
   private:
-    /** Directory entry: which cores cache the line, who owns it. */
-    struct DirEntry
-    {
-        std::uint32_t sharers = 0; //!< bitmask of caching cores
-        int owner = -1;            //!< core with a modified copy
-    };
-
     /**
      * Apply the coherence filter for an access by @p core and
      * update the directory. Returns the extra latency (a dirty
@@ -163,7 +156,7 @@ class SharedLlc
     Dram _dram;
     std::vector<Resource> _banks;
     std::vector<MemSystem *> _cores;
-    std::unordered_map<Addr, DirEntry> _dir;
+    LineDirectory _dir;
     SharedLlcStats _stats;
     std::uint64_t _prefetches = 0;
     TraceManager *_trace = nullptr;

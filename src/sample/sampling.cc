@@ -18,8 +18,8 @@ modeFromString(const std::string &text)
         return SimMode::Functional;
     if (text == "sampled")
         return SimMode::Sampled;
-    via_fatal("unknown mode '", text,
-              "' (detailed|functional|sampled)");
+    via_usage("unknown mode '", text,
+              "' (expected detailed|functional|sampled)");
 }
 
 SampleOptions

@@ -49,6 +49,14 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
+usageImpl(const std::string &msg)
+{
+    std::fprintf(stderr, "usage error: %s\n", msg.c_str());
+    std::fflush(stderr);
+    std::exit(2);
+}
+
+void
 warnImpl(const std::string &msg)
 {
     if (logLevel() >= LogLevel::Warn)

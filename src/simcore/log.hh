@@ -6,6 +6,8 @@
  *            aborts so a debugger or core dump can capture state.
  * fatal()  - the simulation cannot continue due to a user error
  *            (bad configuration, invalid input); exits cleanly.
+ * usage()  - a key=value request is malformed; exits 2 like every
+ *            other usage error, before anything runs.
  * warn()   - something may be modelled imperfectly but execution can
  *            continue.
  * inform() - status messages with no negative connotation.
@@ -37,6 +39,7 @@ namespace detail
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
+[[noreturn]] void usageImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
@@ -64,6 +67,13 @@ fmtCat(Args &&...args)
 #define via_fatal(...) \
     ::via::detail::fatalImpl(__FILE__, __LINE__, \
                              ::via::detail::fmtCat(__VA_ARGS__))
+
+/**
+ * Exit(2): the command line is a usage error (a key value the model
+ * cannot take), reported before any simulation or output.
+ */
+#define via_usage(...) \
+    ::via::detail::usageImpl(::via::detail::fmtCat(__VA_ARGS__))
 
 /** Non-fatal: functionality may be modelled imperfectly. */
 #define via_warn(...) \

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/mem_system.hh"
+#include "simcore/rng.hh"
 
 namespace via
 {
@@ -143,6 +147,131 @@ TEST(Cache, MshrFreeAtReflectsOccupancy)
     for (int i = 0; i < 4; ++i)
         c.mshrReserve(Addr(i) * 64, 200);
     EXPECT_EQ(c.mshrFreeAt(), 200u);
+}
+
+/**
+ * Reference model of the time-aware MSHR gate: the recorded-fill
+ * ring and the full scan Cache::mshrFreeAt(Tick) ran on every call
+ * before it gained its constant-time early out.
+ */
+struct FillRingModel
+{
+    struct Span
+    {
+        Tick issue;
+        Tick complete;
+    };
+
+    std::size_t cap;
+    std::vector<Span> ring;
+    std::size_t next = 0;
+
+    void
+    reserve(Tick complete, Tick issue)
+    {
+        Span span{std::min(issue, complete), complete};
+        if (ring.size() < 4 * cap) {
+            ring.push_back(span);
+        } else {
+            ring[next] = span;
+            next = (next + 1) % ring.size();
+        }
+    }
+
+    void
+    clear()
+    {
+        ring.clear();
+        next = 0;
+    }
+
+    Tick
+    freeAt(Tick when) const
+    {
+        std::vector<Tick> live;
+        for (const auto &f : ring)
+            if (f.issue <= when && when < f.complete)
+                live.push_back(f.complete);
+        if (live.size() < cap)
+            return when;
+        std::size_t k = live.size() - cap;
+        std::nth_element(live.begin(),
+                         live.begin() + std::ptrdiff_t(k), live.end());
+        return live[k];
+    }
+};
+
+/**
+ * Random reserve/query streams against the reference scan: the ring
+ * wraps many times, some reservations complete before they issue
+ * (clamped), queries land exactly on span edges, dense stretches
+ * keep at least `mshrs` spans live so the full scan decides, and
+ * flush/resetTiming clear the ring mid-stream.
+ */
+TEST(Cache, MshrFreeAtTickMatchesReferenceScan)
+{
+    for (std::uint32_t mshrs : {1u, 4u, 7u}) {
+        CacheParams p = smallCache();
+        p.mshrs = mshrs;
+        Cache c(p);
+        c.trackFillSpans(true);
+        FillRingModel model{mshrs, {}, 0};
+        Rng rng(0x5eed + mshrs);
+        Tick base = 1000;
+        std::uint64_t reserves = 0, gated = 0, clears = 0;
+
+        auto check = [&](Tick when) {
+            Tick want = model.freeAt(when);
+            ASSERT_EQ(c.mshrFreeAt(when), want)
+                << "mshrs " << mshrs << " when " << when
+                << " after " << reserves << " reserves";
+            gated += want > when;
+        };
+
+        for (int step = 0; step < 40000; ++step) {
+            // Alternate sparse stretches (short spans, most queries
+            // take the early out) with dense ones (long overlapping
+            // spans, at least `mshrs` live).
+            bool dense = (step / 2000) % 2 == 1;
+            Tick span_len = dense ? 400 + rng.below(400)
+                                  : 1 + rng.below(40);
+            std::uint64_t op = rng.below(100);
+            if (op < 45) {
+                Tick issue = base + rng.below(200);
+                Tick complete = issue + span_len;
+                if (rng.chance(0.05)) // issue after completion
+                    complete = issue - std::min<Tick>(issue,
+                                                      rng.below(50));
+                c.mshrReserve(Addr(rng.below(64)) * 64, complete, 0,
+                              issue);
+                model.reserve(complete, issue);
+                ++reserves;
+                base += rng.below(dense ? 3 : 30);
+            } else if (op < 70 && !model.ring.empty()) {
+                // Exactly on, and one tick either side of, an edge.
+                const auto &f = model.ring[rng.below(model.ring.size())];
+                Tick edge = rng.chance(0.5) ? f.issue : f.complete;
+                for (Tick when : {edge - 1, edge, edge + 1})
+                    check(when);
+            } else if (op < 99) {
+                check(base - std::min<Tick>(base, 300) +
+                      rng.below(900));
+            } else {
+                if (rng.chance(0.5))
+                    c.flush();
+                else
+                    c.resetTiming();
+                model.clear();
+                ++clears;
+                check(base);
+            }
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_GT(reserves, 16 * mshrs) << "the ring never wrapped";
+        EXPECT_GT(gated, 100u) << "the full scan never gated";
+        EXPECT_GT(clears, 10u);
+    }
 }
 
 TEST(CacheDeathTest, GeometryMustDivide)

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bitset>
+#include <map>
+
 #include "cpu/multi_machine.hh"
 #include "kernels/dispatch.hh"
 #include "kernels/parallel.hh"
 #include "kernels/reference.hh"
+#include "mem/line_directory.hh"
 #include "mem/mem_system.hh"
 #include "mem/shared_llc.hh"
 #include "simcore/rng.hh"
@@ -231,6 +235,188 @@ TEST(SharedLlcCoherence, TransitionTable)
     w = step();
     EXPECT_EQ(llc.access(1, line, false, w), w + hit);
     EXPECT_EQ(llc.stats().dirtyForwards, 1u); // no owner, no forward
+}
+
+// ------------------------------------------------------ directory
+
+/**
+ * Line numbers whose directory probes start at one slot at every
+ * capacity up to @p slots: they share the top log2(slots) bits of
+ * their hash.
+ */
+std::vector<std::uint64_t>
+collidingLines(std::size_t slots, std::size_t count,
+               std::uint64_t line_bytes)
+{
+    LineDirectory probe(slots);
+    std::vector<std::uint64_t> lines;
+    const std::size_t home = probe.homeSlot(Addr(1) * line_bytes);
+    for (std::uint64_t line = 1; lines.size() < count; ++line)
+        if (probe.homeSlot(Addr(line) * line_bytes) == home)
+            lines.push_back(line);
+    return lines;
+}
+
+TEST(LineDirectory, CollidingLinesGrowthAndReset)
+{
+    LineDirectory dir;
+    const std::size_t initial = dir.capacity();
+    std::map<Addr, DirEntry> ref;
+    Rng rng(17);
+
+    // One long probe run of colliding lines, then enough distinct
+    // lines to double the table several times; every entry keeps
+    // its value across the rehashes.
+    std::vector<Addr> lines;
+    for (std::uint64_t line : collidingLines(1 << 14, 24, 64))
+        lines.push_back(Addr(line) * 64);
+    for (std::uint64_t line = 0; line < 5000; ++line)
+        lines.push_back(Addr(rng.below(1u << 30)) * 64);
+    for (Addr line : lines) {
+        EXPECT_EQ(dir.find(line) != nullptr, ref.count(line) == 1);
+        DirEntry &e = dir[line];
+        e.sharers |= std::uint32_t(rng.below(1u << 4));
+        e.owner = int(rng.below(5)) - 1;
+        ref[line] = e;
+    }
+    EXPECT_GE(dir.capacity(), initial * 64);
+    EXPECT_EQ(dir.size(), ref.size());
+    EXPECT_LE(2 * dir.size(), dir.capacity());
+    for (const auto &[line, want] : ref) {
+        DirEntry *got = dir.find(line);
+        ASSERT_NE(got, nullptr) << line;
+        EXPECT_EQ(got->sharers, want.sharers) << line;
+        EXPECT_EQ(got->owner, want.owner) << line;
+    }
+
+    // Absent lines, including ones on the colliding probe run.
+    for (std::uint64_t line : collidingLines(1 << 14, 40, 64)) {
+        if (ref.count(Addr(line) * 64) == 0) {
+            EXPECT_EQ(dir.find(Addr(line) * 64), nullptr) << line;
+        }
+    }
+
+    // A reset entry stays findable and reads as a default one.
+    DirEntry *e = dir.find(lines[3]);
+    ASSERT_NE(e, nullptr);
+    *e = DirEntry{};
+    EXPECT_EQ(dir[lines[3]].sharers, 0u);
+    EXPECT_EQ(dir[lines[3]].owner, -1);
+    EXPECT_EQ(dir.size(), ref.size());
+}
+
+/**
+ * The untimed shared-LLC paths against a reference model that keeps
+ * the directory in a std::map and erases back-invalidated lines. A
+ * 16 KB LLC evicts constantly, four cores read, write and write back
+ * a few thousand lines (some on one probe run), and dirty lines
+ * planted in the tags behind the directory's back make their
+ * eviction back-invalidate a line the directory never saw.
+ */
+TEST(SharedLlcDirectory, MatchesMapReferenceModel)
+{
+    constexpr unsigned kCores = 4;
+    LlcRig rig(8, kCores);
+    rig.params.cache.sizeBytes = 16 * 1024;
+    rig.params.cache.assoc = 4;
+    rig.llc = std::make_unique<SharedLlc>(rig.params);
+    for (unsigned c = 0; c < kCores; ++c)
+        rig.llc->attachCore(c, rig.mems[c].get());
+    SharedLlc &llc = *rig.llc;
+
+    struct Entry
+    {
+        std::uint32_t sharers = 0;
+        int owner = -1;
+    };
+    std::map<Addr, Entry> dir;
+    std::map<Addr, bool> dropped; // back-invalidated, still erased
+    Cache tags(rig.params.cache);
+    std::uint64_t invalidations = 0, forwards = 0;
+    std::uint64_t absent_drops = 0, retouched = 0;
+
+    auto backInvalidate = [&](Addr line) {
+        auto it = dir.find(line);
+        if (it == dir.end()) {
+            ++absent_drops;
+            return;
+        }
+        invalidations += std::bitset<32>(it->second.sharers).count();
+        dir.erase(it);
+        dropped[line] = true;
+    };
+    auto tagAccess = [&](Addr line, bool write) {
+        auto res = tags.access(line, write);
+        if (res.victimDirty)
+            backInvalidate(res.victimLine);
+    };
+    auto touch = [&](Addr line) -> Entry & {
+        if (dropped.erase(line))
+            ++retouched;
+        return dir[line];
+    };
+
+    std::vector<Addr> lines;
+    for (std::uint64_t line : collidingLines(1 << 14, 32, 64))
+        lines.push_back(rig.lineAddr(line));
+    Rng rng(29);
+    for (std::uint64_t i = 0; i < 4000; ++i)
+        lines.push_back(rig.lineAddr(rng.below(1u << 24)));
+
+    for (int step = 0; step < 60000; ++step) {
+        unsigned core = unsigned(rng.below(kCores));
+        const std::uint32_t me = std::uint32_t(1) << core;
+        // A hot set of 64 lines keeps sharing and ownership moving.
+        Addr line = rng.chance(0.5) ? lines[rng.below(64)]
+                                    : lines[rng.below(lines.size())];
+        std::uint64_t op = rng.below(100);
+        if (op < 80) {
+            bool write = rng.chance(0.4);
+            llc.warmAccess(core, line, write);
+            Entry &e = touch(line);
+            bool forward = e.owner >= 0 && unsigned(e.owner) != core;
+            if (forward) {
+                e.sharers &= ~(std::uint32_t(1) << unsigned(e.owner));
+                e.owner = -1;
+                ++invalidations;
+                ++forwards;
+            }
+            if (write) {
+                invalidations +=
+                    std::bitset<32>(e.sharers & ~me).count();
+                e.sharers = me;
+                e.owner = int(core);
+            } else {
+                e.sharers |= me;
+                if (e.owner == int(core))
+                    e.owner = -1;
+            }
+            if (forward)
+                tags.access(line, true);
+            tagAccess(line, write);
+        } else if (op < 97) {
+            llc.warmWriteback(core, line);
+            Entry &e = touch(line);
+            e.sharers &= ~me;
+            if (e.owner == int(core))
+                e.owner = -1;
+            tagAccess(line, true);
+        } else {
+            // Dirty in the tags, unknown to the directory. Going
+            // around SharedLlc, its own victim drops nothing.
+            Addr planted =
+                rig.lineAddr((1ull << 26) + rng.below(1u << 20));
+            llc.tags().access(planted, true);
+            tags.access(planted, true);
+        }
+        ASSERT_EQ(llc.stats().invalidations, invalidations)
+            << "step " << step;
+        ASSERT_EQ(llc.stats().dirtyForwards, forwards)
+            << "step " << step;
+    }
+    EXPECT_GT(forwards, 100u);
+    EXPECT_GT(absent_drops, 10u) << "no absent line was dropped";
+    EXPECT_GT(retouched, 100u) << "no dropped line was touched again";
 }
 
 // ------------------------------------------- parallel kernels

@@ -631,6 +631,10 @@ main(int argc, char **argv)
 
     auto cores = unsigned(cfg.getUInt("cores", 1));
     MachineParams params = machineParamsFrom(cfg);
+    // Resolve the sampling keys before any output: a bad mode= is a
+    // usage error like every other bad key.
+    const sample::SimMode mode =
+        sample::SampleOptions::fromConfig(cfg).mode;
     const kernels::Workload *w = kernels::findWorkload(kernel);
     if (!w)
         return usage("unknown kernel '" + kernel + "'");
@@ -664,8 +668,7 @@ main(int argc, char **argv)
                                 machineParamsFrom(pc), ""});
             }
     } else if (cores > 1) {
-        if (sample::SampleOptions::fromConfig(cfg).mode !=
-            sample::SimMode::Detailed)
+        if (mode != sample::SimMode::Detailed)
             return usage("cores>1 supports mode=detailed only "
                          "(sampling and checkpoints are single-core)");
         if (cfg.has("checkpoint") || cfg.has("restore"))
