@@ -7,9 +7,9 @@
 # case's stdout is compared byte for byte against
 # tools/goldens/harness_<case>.golden.
 #
-# Every case's actual stdout is also written to OUT_DIR, so a
-# mismatch can be inspected with diff; the goldens themselves are
-# never rewritten by this script. Run it without VIA_CHECK: these
+# Every case runs in OUT_DIR, and its actual stdout is also written
+# there, so a mismatch can be inspected with diff; the goldens
+# themselves are never rewritten by this script. Run it without VIA_CHECK: these
 # inputs are too small for the sampled-mode accuracy audit, which
 # via_sim_sampled_audit covers on its own input.
 #
@@ -32,6 +32,7 @@ set(failed "")
 
 function(check_case name)
     execute_process(COMMAND ${ARGN}
+                    WORKING_DIRECTORY "${OUT_DIR}"
                     OUTPUT_VARIABLE out ERROR_QUIET
                     RESULT_VARIABLE rc)
     file(WRITE "${OUT_DIR}/harness_${name}.out" "${out}")
@@ -66,13 +67,35 @@ foreach(k ${kernels})
     endforeach()
 endforeach()
 
-# The other SpMV formats' labels and trace phases, and the
-# SpMV-only IPC timeline.
+# The other SpMV formats' labels and trace phases.
 foreach(fmt csr spc5 sell)
     check_case(spmv_${fmt}_via ${VIA_SIM} spmv rows=256 density=0.03
                seed=3 format=${fmt})
 endforeach()
+
+# The SpMV-only IPC timeline: one window; many windows; windows
+# narrower than one commit step, so a single instruction's commit
+# crosses several boundaries (the `ipc 0.00` rows); and a run
+# restored from a checkpoint, whose first boundary is the restored
+# commit front plus the window. The checkpoint path is relative to
+# OUT_DIR, so the `restored machine state from` line is the same in
+# every build tree.
 check_case(spmv_timeline ${VIA_SIM} spmv ${spmv_args} timeline=2000)
+check_case(spmv_timeline_windows ${VIA_SIM} spmv ${spmv_args}
+           timeline=250)
+check_case(spmv_timeline_narrow ${VIA_SIM} spmv rows=64 density=0.05
+           seed=3 format=csb timeline=8)
+execute_process(COMMAND ${VIA_SIM} spmv ${spmv_args}
+                        checkpoint=timeline.ckpt
+                WORKING_DIRECTORY "${OUT_DIR}"
+                OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    list(APPEND failed "spmv_timeline_restore (checkpoint exit ${rc})")
+else()
+    check_case(spmv_timeline_restore ${VIA_SIM} spmv ${spmv_args}
+               restore=timeline.ckpt timeline=500)
+endif()
+file(REMOVE "${OUT_DIR}/timeline.ckpt")
 
 # Every synthetic family, the streaming generators, a Matrix Market
 # input, and SpMM's 160-row synthetic default.
