@@ -200,7 +200,7 @@ void
 TimingInvariantChecker::checkTrace()
 {
     const TraceManager *trace = _machine.trace();
-    if (trace == nullptr || !trace->enabled())
+    if (trace == nullptr)
         return;
     Tick total = _machine.cycles();
     TraceSummary summary = summarizeTrace(*trace, total);

@@ -204,7 +204,7 @@ class StoreTracker
     void
     noteStall(Addr addr, Tick ready) const
     {
-        if (ready > 0 && _trace != nullptr && _trace->enabled())
+        if (ready > 0 && _trace != nullptr)
             emitStall(addr, ready);
     }
     void emitStall(Addr addr, Tick ready) const;

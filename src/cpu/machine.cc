@@ -65,7 +65,6 @@ Machine::Machine(const MachineParams &params,
     // skip its (unused) private DRAM counters.
     if (llc != nullptr)
         _memSys->attachShared(llc, core_id);
-    _core->attachEvents(&_events);
     _memSys->registerStats(_stats);
     _core->registerStats(_stats);
     _func->registerStats(_stats);
@@ -268,12 +267,6 @@ Machine::issue(const Inst &inst)
 void
 Machine::saveState(Serializer &ser) const
 {
-    // Event callbacks are std::functions and cannot be serialized;
-    // the drivers checkpoint at kernel boundaries where the queue
-    // has drained.
-    if (!_events.empty())
-        throw SerializeError("cannot checkpoint a machine with "
-                             "pending events");
     if (_mem != &_store)
         throw SerializeError("multi-core machines cannot be "
                              "checkpointed (shared memory)");
@@ -281,7 +274,7 @@ Machine::saveState(Serializer &ser) const
     ser.tag("MACH");
     ser.put(_params.valueType);
     ser.put(_params.indexType);
-    ser.put(_events.curTick());
+    ser.put(_core->commitFront());
     ser.put(_seq);
     for (int r = 0; r < NUM_VREGS; ++r)
         for (std::uint64_t raw : _vrf[r].raw)
@@ -301,8 +294,6 @@ Machine::saveState(Serializer &ser) const
 void
 Machine::loadState(Deserializer &des)
 {
-    if (!_events.empty())
-        throw SerializeError("cannot restore over pending events");
     if (_mem != &_store)
         throw SerializeError("multi-core machines cannot be "
                              "restored (shared memory)");
@@ -311,7 +302,7 @@ Machine::loadState(Deserializer &des)
     if (des.get<ElemType>() != _params.valueType ||
         des.get<ElemType>() != _params.indexType)
         throw SerializeError("machine element type mismatch");
-    Tick tick = des.get<Tick>();
+    Tick front = des.get<Tick>();
     SeqNum seq = des.get<SeqNum>();
     for (int r = 0; r < NUM_VREGS; ++r)
         for (std::uint64_t &raw : _vrf[r].raw)
@@ -325,7 +316,7 @@ Machine::loadState(Deserializer &des)
     _core->loadState(des);
     _backend->loadState(des);
     _seq = seq;
-    _events.resetTick(tick);
+    _core->setCommitFront(front);
 }
 
 // ================= scalar ======================================

@@ -28,7 +28,6 @@
 #include "isa/vreg.hh"
 #include "mem/backing_store.hh"
 #include "mem/mem_system.hh"
-#include "simcore/event_queue.hh"
 #include "simcore/stats.hh"
 #include "trace/trace.hh"
 #include "via/fivu.hh"
@@ -120,12 +119,6 @@ class Machine
     BackendKind backendKind() const { return _backend->kind(); }
     OoOCore &core() { return *_core; }
     const OoOCore &core() const { return *_core; }
-    /**
-     * Simulated-time event queue: schedule callbacks at future
-     * ticks (stat sampling, watchdogs); they fire as the commit
-     * front passes their times.
-     */
-    EventQueue &events() { return _events; }
     const MachineParams &params() const { return _params; }
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }
@@ -189,9 +182,9 @@ class Machine
     /**
      * Serialize the complete machine state: architectural memory and
      * registers, cache/DRAM/SSPM/CAM/core microarchitectural state,
-     * statistics, and the simulated clock. Throws SerializeError if
-     * the event queue has pending callbacks (they cannot be
-     * serialized); drain or let them fire before checkpointing.
+     * statistics, and the core's commit front. Throws
+     * SerializeError on a core of a multi-core machine (its memory
+     * is shared).
      */
     void saveState(Serializer &ser) const;
     /**
@@ -518,7 +511,6 @@ class Machine
     VecRegFile _vrf;
     std::array<std::uint64_t, NUM_SREGS> _srf{};
 
-    EventQueue _events;
     StatSet _stats;
     SeqNum _seq = 0;
     /**

@@ -183,12 +183,13 @@ OoOCore::push(const Inst &inst)
     // ---- in-order commit -----------------------------------------
     Tick commit = _rob.commit(complete);
     _stats.commitTick = commit;
+    _commitFront = std::max(_commitFront, commit);
     _lastTiming = InstTiming{dispatch, issue, complete, commit};
 
     for (TimingObserver *obs : _timingObservers)
         obs->onInstTiming(inst, _lastTiming);
 
-    if (_trace != nullptr && _trace->enabled()) {
+    if (_trace != nullptr) {
         TraceEvent ev;
         ev.kind = TraceEventKind::InstRetired;
         ev.comp = TraceComponent::Core;
@@ -212,11 +213,6 @@ OoOCore::push(const Inst &inst)
         // this instruction executed architecturally get its window.
         _trace->flushStaged(issue, complete, inst.op);
     }
-
-    // Simulated-time observers (stat sampling etc.) run as the
-    // commit front passes their scheduled ticks.
-    if (_events && commit > _events->curTick())
-        _events->advanceTo(commit);
 }
 
 void

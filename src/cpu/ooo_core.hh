@@ -43,7 +43,6 @@
 #include "cpu/vector_backend.hh"
 #include "isa/inst.hh"
 #include "mem/mem_system.hh"
-#include "simcore/event_queue.hh"
 #include "simcore/stats.hh"
 #include "simcore/types.hh"
 #include "trace/trace.hh"
@@ -116,6 +115,17 @@ class OoOCore
     /** Commit tick of the youngest instruction (the makespan). */
     Tick finishTick() const { return _rob.commitFront(); }
 
+    /**
+     * Latest commit tick since construction or restore. Unlike
+     * finishTick() and CoreStats::commitTick, a timing reset (a new
+     * sampled-mode interval) does not lower it; checkpoints record
+     * it and via_sim's timeline= windows start from it.
+     */
+    Tick commitFront() const { return _commitFront; }
+
+    /** Set the commit front (checkpoint restore). */
+    void setCommitFront(Tick when) { _commitFront = when; }
+
     /** Completion tick of the youngest value written (drain). */
     Tick lastComplete() const { return _lastComplete; }
 
@@ -144,13 +154,6 @@ class OoOCore
 
     /** Register core statistics under "core.". */
     void registerStats(StatSet &stats) const;
-
-    /**
-     * Attach an event queue that is advanced to each commit tick:
-     * events scheduled on it (periodic stat sampling, watchdogs)
-     * fire at the right simulated times as the kernel runs.
-     */
-    void attachEvents(EventQueue *events) { _events = events; }
 
     /**
      * Attach a trace sink (nullptr detaches). The core emits one
@@ -198,7 +201,6 @@ class OoOCore
     CoreParams _params;
     MemSystem &_mem;
     VectorBackend &_backend;
-    EventQueue *_events = nullptr;
 
     FuPool _fus;
     Resource _dispatchPorts;
@@ -211,6 +213,7 @@ class OoOCore
     Tick _lastDispatch = 0;
     Tick _lastComplete = 0;
     Tick _lastBranchResolve = 0; //!< non-speculative point
+    Tick _commitFront = 0;
 
     /** 2-bit saturating counters for data-dependent branches. */
     std::unordered_map<std::uint32_t, std::uint8_t> _branchTable;

@@ -228,10 +228,6 @@ class SsrBackend : public VectorBackend
     double accelLeakageMw() const override;
 
     // --- emission-side API (Machine ssr* emits) ------------------
-    std::uint32_t numStreams() const
-    {
-        return std::uint32_t(_streams.size());
-    }
     Stream &stream(std::uint32_t s);
     SsrStats &archStats() { return _stats; }
     const SsrStats &archStats() const { return _stats; }

@@ -101,9 +101,6 @@ class DebugSession
      */
     int run();
 
-    /** The engine, exposed for unit tests. */
-    BreakpointEngine &engine() { return _engine; }
-
   private:
     /** Thrown through the kernel driver by `checkpoint load`. */
     struct RewindRequest

@@ -112,12 +112,6 @@ class BackingStore
         return out;
     }
 
-    /** Bytes currently handed out by the allocator. */
-    std::uint64_t allocated() const { return _brk - allocBase; }
-
-    /** Number of physical pages materialized. */
-    std::size_t pagesTouched() const { return _pages.size(); }
-
     /**
      * Serialize every materialized page and the allocator brk. The
      * brk is part of the architectural state: restoring it makes

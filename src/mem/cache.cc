@@ -262,7 +262,7 @@ Cache::mshrReserve(Addr line_addr, Tick complete, Tick stall,
     if (_trackFills)
         recordFillSpan(std::min(issue, complete), complete);
 
-    if (_trace != nullptr && _trace->enabled()) {
+    if (_trace != nullptr) {
         TraceEvent ev;
         ev.kind = TraceEventKind::MshrAlloc;
         ev.comp = _traceComp;

@@ -35,7 +35,7 @@ Dram::serve(std::uint64_t bytes, Tick when, bool is_write)
 
     // Burst start/end: the span is the pipe occupancy (bandwidth),
     // not the access latency, so busy roll-ups read as utilization.
-    if (_trace != nullptr && _trace->enabled()) {
+    if (_trace != nullptr) {
         TraceEvent ev;
         ev.kind = TraceEventKind::DramBurst;
         ev.comp = TraceComponent::Dram;

@@ -77,7 +77,7 @@ MemSystem::flush()
 MemResult
 MemSystem::accessLine(Addr line_addr, bool is_write, Tick when)
 {
-    bool tracing = _trace != nullptr && _trace->enabled();
+    bool tracing = _trace != nullptr;
 
     // Fast path: an L1 hit with no fill still in flight behaves
     // exactly like the full walk below (no merge possible, no

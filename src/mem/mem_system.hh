@@ -100,7 +100,6 @@ class MemSystem
     void attachShared(SharedLlc *shared, unsigned core_id);
 
     SharedLlc *shared() const { return _shared; }
-    unsigned coreId() const { return _coreId; }
 
     /** Register all hierarchy statistics under "mem.". */
     void registerStats(StatSet &stats) const;

@@ -122,7 +122,7 @@ SharedLlc::access(unsigned core, Addr line_addr, bool is_write,
 {
     via_assert(core < _cores.size(), "access from unattached core ",
                core);
-    bool tracing = _trace != nullptr && _trace->enabled();
+    bool tracing = _trace != nullptr;
 
     // Contention: the access holds its bank's pipe for one cycle.
     Tick start = _banks[bankOf(line_addr)].acquire(when);

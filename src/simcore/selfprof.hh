@@ -3,7 +3,7 @@
  * A lightweight host wall-time self-profiler for the simulator.
  *
  * Attributes host time to coarse simulator components (core, cache,
- * DRAM, FIVU, event queue) so a performance regression in one
+ * DRAM, FIVU) so a performance regression in one
  * subsystem is diagnosable without an external profiler. Enabled at
  * runtime via the shared selfprof=1 key; when disabled, each
  * instrumentation point costs a single predictable branch on a
@@ -36,7 +36,8 @@ enum class Domain : std::uint8_t
     Cache,      //!< MemSystem/Cache walks
     Dram,       //!< DRAM pipe
     Fivu,       //!< VIA unit dispatch
-    EventQueue, //!< simulated-time event execution
+    EventQueue, //!< unfed, so always 0; kept because report
+                //!< consumers print the row
     N
 };
 

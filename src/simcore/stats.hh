@@ -55,8 +55,6 @@ class Distribution
 
     /** Bucket counters; out-of-range samples land in the end buckets. */
     const std::vector<std::uint64_t> &buckets() const { return _buckets; }
-    double bucketLo() const { return _lo; }
-    double bucketHi() const { return _hi; }
 
     /**
      * The @p p-th percentile (p in [0, 100]) estimated from the

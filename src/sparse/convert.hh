@@ -21,9 +21,6 @@ Csr csbToCsr(const Csb &m);
 /** Csc -> Csr via canonical triplets. */
 Csr cscToCsr(const Csc &m);
 
-/** Element-wise equality through canonical COO (exact values). */
-bool sameElements(const Csr &a, const Csr &b);
-
 /** Element-wise closeness (|diff| <= atol per element). */
 bool closeElements(const Csr &a, const Csr &b, double atol = 1e-4);
 

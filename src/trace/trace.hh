@@ -136,11 +136,6 @@ class TraceManager
     /** @param capacity ring size in events (>= 1). */
     explicit TraceManager(std::size_t capacity);
 
-    bool enabled() const { return _enabled; }
-
-    /** Pause/resume collection (phases are always recorded). */
-    void setEnabled(bool on) { _enabled = on; }
-
     /** Append one finished event; drops (and counts) when full. */
     void
     emit(const TraceEvent &ev)
@@ -189,7 +184,6 @@ class TraceManager
 
   private:
     std::size_t _capacity;
-    bool _enabled = true;
     std::vector<TraceEvent> _events;
     std::vector<TraceEvent> _staged;
     std::vector<TracePhase> _phases;
@@ -212,12 +206,12 @@ class TraceManager
 #else
 #define VIA_TRACE_EMIT(mgr, ...)                                     \
     do {                                                             \
-        if ((mgr) != nullptr && (mgr)->enabled())                    \
+        if ((mgr) != nullptr)                                        \
             (mgr)->emit(__VA_ARGS__);                                \
     } while (0)
 #define VIA_TRACE_STAGE(mgr, ...)                                    \
     do {                                                             \
-        if ((mgr) != nullptr && (mgr)->enabled())                    \
+        if ((mgr) != nullptr)                                        \
             (mgr)->stage(__VA_ARGS__);                               \
     } while (0)
 #endif

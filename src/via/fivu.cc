@@ -48,7 +48,7 @@ Fivu::dispatch(const Inst &inst, Tick ready_at, const OpLatencies &lat)
     _stats.sspmReadCycles += portCycles(inst.sspmReads);
     _stats.sspmWriteCycles += portCycles(inst.sspmWrites);
 
-    if (_trace != nullptr && _trace->enabled()) {
+    if (_trace != nullptr) {
         auto span = [&](TraceEventKind kind, TraceComponent comp,
                         Tick lo, Tick hi, std::uint64_t a0) {
             TraceEvent ev;

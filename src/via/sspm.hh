@@ -135,13 +135,6 @@ class Sspm
         return n;
     }
 
-    /** Raw SRAM word (debugger inspection; no stats side effects). */
-    std::uint64_t
-    rawAt(std::uint64_t idx) const
-    {
-        return idx < _sram.size() ? _sram[idx] : 0;
-    }
-
     // --- clearing ------------------------------------------------
 
     /** vidx.clear full mode: bitmap, index table, element count. */

@@ -240,11 +240,26 @@ TEST(Checkpoint, RejectsGeometryMismatch)
     EXPECT_THROW(cp.restore(m2), SerializeError);
 }
 
-TEST(Checkpoint, RejectsPendingEvents)
+TEST(Checkpoint, CommitFrontRoundTrips)
 {
-    Machine m(MachineParams{});
-    m.events().scheduleIn(10, +[](void *) {}, nullptr, "test");
-    EXPECT_THROW(Checkpoint::capture(m), SerializeError);
+    // A short sampling interval resets the core's timing several
+    // times, so the last commit falls below the commit front; the
+    // image records the front, not the last commit.
+    Machine m1(MachineParams{});
+    sample::SampleOptions opts;
+    opts.mode = sample::SimMode::Sampled;
+    opts.interval = 300;
+    opts.warmup = 30;
+    opts.measure = 100;
+    sample::runWith(m1, opts, [&] { kernelBody("spmv")(m1); });
+    const Tick front = m1.core().commitFront();
+    EXPECT_GT(front, m1.core().stats().commitTick);
+
+    Machine m2(MachineParams{});
+    Checkpoint::capture(m1).restore(m2);
+    EXPECT_EQ(m2.core().commitFront(), front);
+    EXPECT_EQ(m2.core().stats().commitTick,
+              m1.core().stats().commitTick);
 }
 
 TEST(Checkpoint, RngStreamRoundTrips)

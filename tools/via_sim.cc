@@ -288,10 +288,13 @@ runModal(const Config &cfg, const MachineParams &params,
 }
 
 /**
- * Periodic IPC sampling through the machine's simulated-time event
- * queue (timeline=CYCLES): prints instructions retired per window.
+ * Periodic IPC sampling (timeline=CYCLES), a commit observer: the
+ * first boundary is the core's commit front plus the window, and each
+ * boundary an instruction's commit reaches records the instructions
+ * retired so far, this one included. A commit that jumps several
+ * windows records a sample at each boundary. Prints IPC per window.
  */
-struct Timeline
+struct Timeline final : TimingObserver
 {
     struct Sample
     {
@@ -299,25 +302,35 @@ struct Timeline
         std::uint64_t insts;
     };
 
+    Timeline() = default;
+    Timeline(const Timeline &) = delete;
+    Timeline &operator=(const Timeline &) = delete;
+
+    ~Timeline() override
+    {
+        if (_core != nullptr)
+            _core->removeTimingObserver(this);
+    }
+
     void
     install(Machine &m, Tick window)
     {
         if (window == 0)
             return;
-        _machine = &m;
+        _core = &m.core();
         _window = window;
-        m.events().scheduleIn<&Timeline::tick>(window, this,
-                                               "timeline");
+        _next = _core->commitFront() + window;
+        _core->addTimingObserver(this);
     }
 
     void
-    tick()
+    onInstTiming(const Inst &, const InstTiming &timing) override
     {
-        samples.push_back(Sample{_machine->events().curTick(),
-                                 _machine->core().stats().insts});
-        _machine->events().scheduleIn<&Timeline::tick>(_window, this,
-                                                       "timeline");
+        for (; _next <= timing.commit; _next += _window)
+            samples.push_back(Sample{_next, _core->stats().insts});
     }
+
+    void onTimingReset() override {}
 
     void
     print() const
@@ -327,11 +340,8 @@ struct Timeline
         std::printf("timeline (IPC per window):\n");
         std::uint64_t prev_i = 0;
         Tick prev_t = 0;
+        // Boundaries rise by the window (> 0): no window has zero width.
         for (const Sample &s : samples) {
-            // A duplicate sample at the same tick would divide by
-            // zero; fold it into the next nonzero-width window.
-            if (s.tick == prev_t)
-                continue;
             std::printf("  @%-10llu ipc %.2f\n",
                         static_cast<unsigned long long>(s.tick),
                         double(s.insts - prev_i) /
@@ -342,8 +352,9 @@ struct Timeline
     }
 
     std::vector<Sample> samples;
-    Machine *_machine = nullptr;
+    OoOCore *_core = nullptr;
     Tick _window = 0;
+    Tick _next = 0;
 };
 
 /**
