@@ -32,7 +32,8 @@ main(int argc, char **argv)
         "ablation_commit_mode",
         "Ablation: VIA commit mode (at-commit vs at-issue)");
     opts.addUInt("count", 8, "corpus matrices", 1)
-        .addUInt("max_rows", 2048, "largest corpus dimension", 1)
+        .addUInt("max_rows", 2048, "largest corpus dimension",
+                 CorpusSpec{}.minRows)
         .addUInt("seed", 1, "corpus generator seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);

@@ -31,7 +31,8 @@ main(int argc, char **argv)
         "ablation_gather_cost",
         "Ablation: gather cost vs VIA-CSB speedup");
     opts.addUInt("count", 6, "corpus matrices", 1)
-        .addUInt("max_rows", 2048, "largest corpus dimension", 1)
+        .addUInt("max_rows", 2048, "largest corpus dimension",
+                 CorpusSpec{}.minRows)
         .addUInt("seed", 1, "corpus generator seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);

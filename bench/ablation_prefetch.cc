@@ -27,14 +27,16 @@ main(int argc, char **argv)
     Options opts = bench::benchOptions(
         "ablation_prefetch",
         "Ablation: L2 next-N-line prefetcher");
+    // The corpus's smallest dimension, and so max_rows's floor.
+    constexpr Index MIN_ROWS = 1024;
     opts.addUInt("count", 6, "corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
+        .addUInt("max_rows", 4096, "largest corpus dimension", MIN_ROWS)
         .addUInt("seed", 1, "corpus generator seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
     CorpusSpec spec;
     spec.count = opts.getUInt("count");
-    spec.minRows = 1024;
+    spec.minRows = MIN_ROWS;
     spec.maxRows = Index(opts.getUInt("max_rows"));
     spec.minDensity = 0.002;
     spec.seed = opts.getUInt("seed");

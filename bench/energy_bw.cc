@@ -7,7 +7,10 @@
  * Compares the software CSB kernel against VIA-CSB on the corpus
  * and reports energy breakdown ratios and DRAM bytes/cycle.
  *
- * Usage: energy_bw [count=N] [seed=S] [max_rows=R]
+ * The accelerated column runs the kernel of the machine's backend=
+ * (VIA by default; docs/backends.md).
+ *
+ * Usage: energy_bw [count=N] [seed=S] [max_rows=R] [backend=B]
  */
 
 #include <cstdio>
@@ -16,6 +19,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/runner.hh"
 #include "kernels/spmv.hh"
 #include "simcore/rng.hh"
@@ -32,8 +36,10 @@ main(int argc, char **argv)
                  "vectorized CSB");
     addSelfProfOption(opts);
     addMachineOptions(opts);
+    // The corpus's smallest dimension, and so max_rows's floor.
+    constexpr Index MIN_ROWS = 1024;
     opts.addUInt("count", 10, "corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
+        .addUInt("max_rows", 4096, "largest corpus dimension", MIN_ROWS)
         .addUInt("seed", 1, "corpus generator seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
@@ -42,7 +48,7 @@ main(int argc, char **argv)
     // matrices where CSB blocks actually fill.
     CorpusSpec spec;
     spec.count = opts.getUInt("count");
-    spec.minRows = 1024;
+    spec.minRows = MIN_ROWS;
     spec.maxRows = Index(opts.getUInt("max_rows"));
     spec.minDensity = 0.004;
     spec.seed = opts.getUInt("seed");
@@ -62,7 +68,7 @@ main(int argc, char **argv)
         auto base = kernels::collectMetrics(m1);
 
         Machine m2(params);
-        kernels::spmvViaCsb(m2, csb1, x);
+        kernels::spmvAccel(m2, a, x, "csb");
         auto viam = kernels::collectMetrics(m2);
 
         // The paper's 3.8x is McPAT scope: processor energy

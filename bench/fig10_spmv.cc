@@ -128,7 +128,8 @@ main(int argc, char **argv)
                    "load MatrixMarket corpus from this directory "
                    "instead of generating one")
         .addUInt("count", 24, "generated corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
+        .addUInt("max_rows", 4096, "largest corpus dimension",
+                 CorpusSpec{}.minRows)
         .addUInt("seed", 1, "corpus generator seed")
         .addUInt("vec_seed", 1234, "dense-vector seed");
     opts.parse(argc, argv);

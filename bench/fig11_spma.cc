@@ -12,7 +12,11 @@
  * (threads=N); the sibling of each matrix is drawn from a
  * per-point seed, so output is bit-identical at any thread count.
  *
- * Usage: fig11_spma [count=N] [seed=S] [max_rows=R] [threads=T]
+ * The accelerated column runs the kernel of the machine's backend=
+ * (VIA by default; docs/backends.md).
+ *
+ * Usage: fig11_spma [count=N] [seed=S] [max_rows=R] [backend=B]
+ *                   [threads=T]
  */
 
 #include <cstdio>
@@ -21,6 +25,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/spma.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
@@ -38,7 +43,8 @@ main(int argc, char **argv)
         "Figure 11: SpMA speedup of VIA over the scalar merge");
     addMachineOptions(opts);
     opts.addUInt("count", 16, "corpus matrices", 1)
-        .addUInt("max_rows", 4096, "largest corpus dimension", 1)
+        .addUInt("max_rows", 4096, "largest corpus dimension",
+                 CorpusSpec{}.minRows)
         .addUInt("seed", 1, "corpus generator seed")
         .addUInt("sibling_seed", 77, "sibling-matrix seed");
     opts.parse(argc, argv);
@@ -65,7 +71,7 @@ main(int argc, char **argv)
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmaScalarCsr(m1, a, b);
-        auto viak = kernels::spmaViaCsr(m2, a, b);
+        auto viak = kernels::spmaAccel(m2, a, b);
         return PerMatrix{double(a.nnz() + b.nnz()),
                          double(scalar.cycles) /
                              double(viak.cycles)};

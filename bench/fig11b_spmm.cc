@@ -13,7 +13,11 @@
  * Matrices run as independent points on a SweepExecutor
  * (threads=N); output is bit-identical at any thread count.
  *
- * Usage: fig11b_spmm [count=N] [seed=S] [max_rows=R] [threads=T]
+ * The accelerated column runs the kernel of the machine's backend=
+ * (VIA by default; docs/backends.md).
+ *
+ * Usage: fig11b_spmm [count=N] [seed=S] [max_rows=R] [backend=B]
+ *                    [threads=T]
  */
 
 #include <cstdio>
@@ -22,6 +26,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/spmm.hh"
 #include "simcore/rng.hh"
 #include "sparse/corpus.hh"
@@ -37,14 +42,16 @@ main(int argc, char **argv)
         "fig11b_spmm",
         "Figure 11.b: SpMM speedup of VIA over scalar CSR x CSC");
     addMachineOptions(opts);
+    // The corpus's smallest dimension, and so max_rows's floor.
+    constexpr Index MIN_ROWS = 96;
     opts.addUInt("count", 8, "corpus matrices", 1)
-        .addUInt("max_rows", 320, "largest corpus dimension", 1)
+        .addUInt("max_rows", 320, "largest corpus dimension", MIN_ROWS)
         .addUInt("seed", 1, "corpus generator seed");
     opts.parse(argc, argv);
     applySelfProfOption(opts);
     CorpusSpec spec;
     spec.count = opts.getUInt("count");
-    spec.minRows = 96;
+    spec.minRows = MIN_ROWS;
     spec.maxRows = Index(opts.getUInt("max_rows"));
     spec.seed = opts.getUInt("seed");
     auto corpus = buildCorpus(spec);
@@ -77,7 +84,7 @@ main(int argc, char **argv)
 
         Machine m1(params), m2(params);
         auto scalar = kernels::spmmScalarInner(m1, a, b);
-        auto viak = kernels::spmmViaInner(m2, a, b);
+        auto viak = kernels::spmmAccel(m2, a, b);
         return double(scalar.cycles) / double(viak.cycles);
     });
 

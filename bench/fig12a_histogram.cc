@@ -12,7 +12,11 @@
  * points on a SweepExecutor (threads=N), bit-identical at any
  * thread count.
  *
- * Usage: fig12a_histogram [keys=N] [buckets=B] [seed=S] [threads=T]
+ * The accelerated column runs the kernel of the machine's backend=
+ * (VIA by default; docs/backends.md).
+ *
+ * Usage: fig12a_histogram [keys=N] [buckets=B] [seed=S] [backend=K]
+ *                         [threads=T]
  */
 
 #include <cstdio>
@@ -21,6 +25,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/histogram.hh"
 #include "simcore/rng.hh"
 
@@ -98,7 +103,7 @@ main(int argc, char **argv)
             auto scalar = kernels::histScalar(m1, inputs[i],
                                               buckets);
             auto vec = kernels::histVector(m2, inputs[i], buckets);
-            auto viak = kernels::histVia(m3, inputs[i], buckets);
+            auto viak = kernels::histAccel(m3, inputs[i], buckets);
             return Speedups{
                 double(scalar.cycles) / double(viak.cycles),
                 double(vec.cycles) / double(viak.cycles)};

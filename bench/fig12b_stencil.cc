@@ -7,7 +7,11 @@
  * independent points on a SweepExecutor (threads=N), bit-identical
  * at any thread count.
  *
- * Usage: fig12b_stencil [seed=S] [sspm_kb=K] [ports=P] [threads=T]
+ * The accelerated column runs the kernel of the machine's backend=
+ * (VIA by default; docs/backends.md).
+ *
+ * Usage: fig12b_stencil [seed=S] [sspm_kb=K] [ports=P] [backend=B]
+ *                       [threads=T]
  */
 
 #include <cstdio>
@@ -16,6 +20,7 @@
 #include "common.hh"
 #include "cpu/machine.hh"
 #include "cpu/machine_config.hh"
+#include "kernels/dispatch.hh"
 #include "kernels/stencil.hh"
 #include "simcore/rng.hh"
 
@@ -64,7 +69,7 @@ main(int argc, char **argv)
     auto results = exec.run(images.size(), [&](std::size_t i) {
         Machine m1(params), m2(params);
         auto vec = kernels::stencilVector(m1, images[i]);
-        auto viak = kernels::stencilVia(m2, images[i]);
+        auto viak = kernels::stencilAccel(m2, images[i]);
         return Point{vec.cycles, viak.cycles};
     });
 

@@ -75,13 +75,16 @@ main(int argc, char **argv)
 {
     Options opts = bench::benchOptions(
         "fig9_dse", "Figure 9: SSPM size x port design space");
+    // Each corpus's smallest dimension, and so its size key's floor.
+    constexpr Index MIN_ROWS = 1024;
+    constexpr Index SPMM_MIN_ROWS = 96;
     opts.addUInt("count", 8, "corpus matrices", 1)
-        .addUInt("max_rows", 8192, "largest corpus dimension", 1)
+        .addUInt("max_rows", 8192, "largest corpus dimension", MIN_ROWS)
         .addUInt("seed", 1, "corpus generator seed")
         .addUInt("spma_rows", 4096,
-                 "largest SpMA corpus dimension", 1)
+                 "largest SpMA corpus dimension", MIN_ROWS)
         .addUInt("spmm_rows", 256,
-                 "largest SpMM corpus dimension", 1);
+                 "largest SpMM corpus dimension", SPMM_MIN_ROWS);
     opts.parse(argc, argv);
     applySelfProfOption(opts);
     SweepExecutor exec = bench::makeExecutor(opts);
@@ -90,7 +93,7 @@ main(int argc, char **argv)
     spec.count = opts.getUInt("count");
     // Large matrices are needed for the SSPM-size axis to matter:
     // small inputs fit a single CSB block / CAM tile at every size.
-    spec.minRows = 1024;
+    spec.minRows = MIN_ROWS;
     spec.maxRows = Index(opts.getUInt("max_rows"));
     spec.seed = opts.getUInt("seed");
     auto corpus = buildCorpus(spec);
@@ -98,14 +101,14 @@ main(int argc, char **argv)
     // SpMA stresses the CAM: denser rows so the 4 KB configuration
     // has to tile where the 16 KB one does not.
     CorpusSpec add_spec = spec;
-    add_spec.minRows = 1024;
+    add_spec.minRows = MIN_ROWS;
     add_spec.maxRows = Index(opts.getUInt("spma_rows"));
     add_spec.minDensity = 0.01;
     auto add_corpus = buildCorpus(add_spec);
 
     CorpusSpec mm_spec = spec;
     mm_spec.maxRows = Index(opts.getUInt("spmm_rows"));
-    mm_spec.minRows = 96;
+    mm_spec.minRows = SPMM_MIN_ROWS;
     mm_spec.minDensity = 0.01;
     mm_spec.count = std::min<std::size_t>(spec.count, 6);
     auto mm_corpus = buildCorpus(mm_spec);
